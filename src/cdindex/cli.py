@@ -59,13 +59,14 @@ def load_input(path):
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT)
     cap = _max_elements()
-    if len(data.get("elements", ())) > cap:
-        raise CliError(
-            f"{path} has {len(data['elements'])} elements, over the cap {cap} "
-            "(raise CDINDEX_MAX_ELEMENTS to override)",
-            EXIT_BAD_INPUT,
-        )
     try:
+        poset_mod.check_json_shape(data)
+        if len(data["elements"]) > cap:
+            raise CliError(
+                f"{path} has {len(data['elements'])} elements, over the cap {cap} "
+                "(raise CDINDEX_MAX_ELEMENTS to override)",
+                EXIT_BAD_INPUT,
+            )
         return poset_mod.from_json(data)
     except (InvalidPoset, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path} is not a valid poset: {exc}", EXIT_BAD_INPUT)

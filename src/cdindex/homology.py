@@ -7,14 +7,50 @@ order complex has the reduced homology of the sphere S^(n-1) and the link of
 every nonempty face has the reduced homology of a sphere of complementary
 dimension.
 
-The link of a chain face in an order complex is the join of the order
-complexes of the gaps the chain cuts out, and over a field the reduced
-homology of a join is the shifted convolution of the factors' homologies.
-The certifier therefore computes homology once per closed interval of the
-poset and assembles every link profile by convolution, which keeps the whole
-certificate exact while avoiding one rank computation per face.  The naive
-per-link route is what reduced_homology + link compute directly, and the two
-agree (this is pinned down in the test suite).
+Per-interval equivalence.  The link of a chain face in an order complex is
+the join of the order complexes of the gaps the chain cuts out, and over a
+field the reduced homology of a join is the shifted convolution of the
+factors' homologies.  Every open interval (x, y) is itself a link: that of
+a maximal chain of (bottom, x] joined with one of [y, top).
+So P is Gorenstein* exactly when every open interval (x, y), x < y, has the
+rational homology of S^(deg y - deg x - 2), and is_gorenstein_star checks
+intervals, not faces.
+
+Cellular route.  For a base x, the elements z of [x, y) are the cells of a
+chain complex: z has dimension deg z - deg x - 1 and x is the (-1)-cell.
+The boundary of z is a vector spanning the top cycles of (x, z), which is
+one-dimensional once (x, z) is a sphere.  Bases are processed in decreasing
+degree and the elements y above a base in increasing degree, so when (x, y)
+is examined every (w, z) with w > x, and every (x, z) with z < y, is already
+certified.  Then each ridge of (x, y) (an element two degrees below y) lies
+in exactly two facets, because (ridge, y) is S^0, and the top cycle of
+(x, y) follows by propagating signs +-1 across ridges: integer arithmetic
+only, and matrix sides are element counts, not chain counts.
+
+Why the cellular complex computes the homology of Delta(x, y).  Filter the
+order complex by the degree of a chain's largest element.  The layer for z
+is the cone over Delta(x, z) with apex z, relative to Delta(x, z), whose
+homology is that of Delta(x, z) shifted up by one.  When every (x, z) with
+z < y is a homology sphere of dimension deg z - deg x - 2, each layer is
+concentrated in the single degree deg z - deg x - 1, so the E^1 page of the
+spectral sequence sits in one row, it collapses at E^2, and E^2 is the
+homology of the complex (E^1, d^1).  Over a field there is no extension
+problem.  The true d^1(z) is the image of the fundamental class of
+Delta(x, z), a nonzero vector in the same one-dimensional cycle space as the
+chosen boundary of z, so the two complexes differ by a diagonal change of
+basis and have the same homology.  The argument uses homology only, so
+rational homology spheres that are not topological spheres (the Poincare
+homology sphere, or RP^3, whose integral homology has torsion) are covered
+too: nothing needs the cells to be topological balls.
+The construction is the one for CW posets in A. Bjorner, "Posets, regular
+CW complexes and Bruhat order", Europ. J. Combin. 5 (1984).
+
+When an interval fails, or a sign cannot be propagated, the certificate
+comes from the face search, _certify_by_faces: faces in (dimension,
+vertex-id) order, link homology assembled from memoized open-interval
+homology by join convolution.  It reports the first failing face and its
+Betti numbers, and it remains the test oracle for the interval route, as
+reduced_homology + link are for it.
 """
 
 from __future__ import annotations
@@ -23,7 +59,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernel
-from .poset import induced_subposet
+from .poset import _bits, induced_subposet
 
 
 class SimplicialComplex:
@@ -203,13 +239,6 @@ def order_complex(poset):
     return _interval_complex(poset, poset.bottom, poset.top)
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- Gorenstein* certification --------------------------------------------------
 
 
@@ -269,6 +298,105 @@ def _all_chains(poset):
 
 def is_gorenstein_star(poset):
     """Certify the Gorenstein* property of a graded poset.
+
+    Checks that every open interval (x, y), x < y, is a rational homology
+    sphere of dimension deg y - deg x - 2, by cellular chain complexes (see
+    the module docstring); the certificate of a pass holds the homology of
+    S^(rank-1).  When an interval fails, the face search supplies the
+    certificate: the first face (ordered by dimension, then by sorted vertex
+    ids) whose link misses the sphere profile, and that link's homology.
+    """
+    if _intervals_are_spheres(poset):
+        return GorensteinCertificate(
+            True, None, HomologyProfile.sphere(poset.rank - 1)
+        )
+    return _certify_by_faces(poset)
+
+
+def _intervals_are_spheres(poset):
+    """True when every open interval (x, y) is a rational homology sphere of
+    dimension deg y - deg x - 2; False at the first interval that is not, or
+    whose top cycle cannot be found by sign propagation."""
+    down, up = poset._masks()
+    deg = poset._deg
+    cov_down = poset._cov_down
+    # element indices are sorted by degree: reversed order visits bases in
+    # decreasing degree, and _bits yields the elements above one increasingly
+    for x in reversed(range(len(deg))):
+        # boundary[z] maps the cells of [x, z) one dimension below z to +-1
+        boundary = {}
+        for y in _bits(up[x] & ~(1 << x)):
+            d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
+            if d < 0:
+                boundary[y] = {x: 1}
+                continue
+            cells = up[x] & down[y]
+            facets = [c for c in cov_down[y] if cells >> c & 1]
+            top = _top_cycle(facets, boundary)
+            if top is None:
+                return False
+            if d >= 1 and not _acyclic_below_top(cells, deg[x], d, deg, boundary):
+                return False
+            boundary[y] = top
+    return True
+
+
+def _top_cycle(facets, boundary):
+    """The +-1 vector on ``facets`` that spans the kernel of their boundary.
+
+    Each ridge must lie in exactly two facets and every facet must be reached
+    from the first across ridges with consistent signs; the kernel is then
+    one-dimensional.  Returns None otherwise.
+    """
+    by_ridge = {}
+    for c in facets:
+        for r, a in boundary[c].items():
+            by_ridge.setdefault(r, []).append((c, a))
+    first = facets[0]
+    sign = {first: 1}
+    stack = [first]
+    while stack:
+        c = stack.pop()
+        for r, a in boundary[c].items():
+            pair = by_ridge[r]
+            if len(pair) != 2:
+                return None
+            other, b = pair[1] if pair[0][0] == c else pair[0]
+            # sign[c]*a + sign[other]*b = 0 with a, b in {1, -1}
+            s = -sign[c] * a * b
+            seen = sign.get(other)
+            if seen is None:
+                sign[other] = s
+                stack.append(other)
+            elif seen != s:
+                return None
+    return sign if len(sign) == len(facets) else None
+
+
+def _acyclic_below_top(cells, base_deg, d, deg, boundary):
+    """Whether the cellular complex of [x, y) has no reduced homology in
+    dimensions 0 .. d-1, given that its top boundary has a one-dimensional
+    kernel; ``cells`` is the mask of [x, y], and deg x is ``base_deg``.
+
+    With r_k the rank of the boundary from dimension k to k-1, Betti number
+    k is |C_k| - r_k - r_(k+1).  r_0 = 1 (every vertex bounds the (-1)-cell)
+    and r_d = |C_d| - 1 are known; kernel.sparse_rank gives the others.
+    """
+    levels = [[] for _ in range(d + 1)]
+    for z in _bits(cells):
+        k = deg[z] - base_deg - 1
+        if 0 <= k <= d:
+            levels[k].append(z)
+    ranks = [1]
+    for k in range(1, d):
+        entries = [(w, z, a) for z in levels[k] for w, a in boundary[z].items()]
+        ranks.append(kernel.sparse_rank(entries))
+    ranks.append(len(levels[d]) - 1)
+    return all(len(levels[k]) == ranks[k] + ranks[k + 1] for k in range(d))
+
+
+def _certify_by_faces(poset):
+    """Gorenstein* certificate by the face search.
 
     Checks the order complex against S^(rank-1) and the link of every
     nonempty face against the complementary sphere; the first failure (faces

@@ -213,14 +213,41 @@ def _bits(mask):
 # -- loading -------------------------------------------------------------------
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_json_shape(data):
+    """Raise InvalidPoset unless ``data`` has the shape of the JSON format:
+    an object with an integer "rank", an "elements" list of objects with an
+    "id" and an integer "deg", and a "covers" list of two-item lists."""
+    if not isinstance(data, dict):
+        raise InvalidPoset(f"top level must be an object, not {type(data).__name__}")
+    if not _is_int(data.get("rank")):
+        raise InvalidPoset('"rank" must be an integer')
+    elements = data.get("elements")
+    if not isinstance(elements, list):
+        raise InvalidPoset('"elements" must be a list')
+    for el in elements:
+        if not isinstance(el, dict) or "id" not in el or not _is_int(el.get("deg")):
+            raise InvalidPoset(f"element {el!r} needs an id and an integer deg")
+    covers = data.get("covers")
+    if not isinstance(covers, list):
+        raise InvalidPoset('"covers" must be a list')
+    for cover in covers:
+        if not isinstance(cover, list) or len(cover) != 2:
+            raise InvalidPoset(f"cover {cover!r} is not a two-item list")
+
+
 def from_json(data):
-    """Build a poset from the JSON dict format.
+    """Build a poset from the JSON dict format (see check_json_shape).
 
     Bottom and top may be omitted; they are adjoined with the canonical ids
     "_bot"/"_top" (a warning notice is emitted when this happens).
     """
+    check_json_shape(data)
     rank = data["rank"]
-    degrees = {el["id"]: int(el["deg"]) for el in data["elements"]}
+    degrees = {el["id"]: el["deg"] for el in data["elements"]}
     if len(degrees) != len(data["elements"]):
         raise InvalidPoset("duplicate element ids")
     covers = [(lo, hi) for lo, hi in data["covers"]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cdpoly import CdPolynomial
 from .flags import cd_index_flag
 from .homology import boundary_of, is_gorenstein_star, is_quasi_convex
-from .poset import GradedPoset, InvalidPoset, induced_subposet, strict_ideal
+from .poset import GradedPoset, InvalidPoset, _bits, induced_subposet, strict_ideal
 
 
 class ShellingInvalid(ValueError):
@@ -156,10 +156,3 @@ def pi_decomposition(poset, pi):
         bnd = strict_ideal(poset, sigma)
         total = total + cd_index_flag(bnd.poset) * _D
     return total
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -58,6 +59,36 @@ def pyramid_without_apex_star():
     p = poset_mod.build_pyramid(poset_mod.polygon(4))
     members = set(p.proper_elements()) - star(p, "a:_bot") | {p.bottom}
     return induced_subposet(p, members, adjoin_top=True).poset
+
+
+def face_poset(facets):
+    """Face poset of the pure simplicial complex with these facets: the empty
+    face as bottom, nonempty faces by size, and an adjoined top."""
+    faces = set()
+    for f in facets:
+        f = tuple(sorted(f))
+        for k in range(1, len(f) + 1):
+            faces.update(itertools.combinations(f, k))
+    name = lambda face: ".".join(map(str, face)) if face else "_bot"
+    rank = max(len(f) for f in faces)
+    degrees = {name(f): len(f) for f in faces} | {"_bot": 0, "_top": rank + 1}
+    covers = [("_bot", name(f)) for f in faces if len(f) == 1]
+    covers += [(name(f), "_top") for f in faces if len(f) == rank]
+    for f in faces:
+        if len(f) > 1:
+            covers += [(name(f[:i] + f[i + 1 :]), name(f)) for i in range(len(f))]
+    return GradedPoset(rank, degrees, covers)
+
+
+# the 7-vertex (Moebius) torus and the 6-vertex real projective plane: every
+# proper interval of their face posets is a sphere, the whole is not
+TORUS_7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+RP2_6 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
+]
 
 
 @pytest.fixture

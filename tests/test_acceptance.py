@@ -155,6 +155,16 @@ def test_criterion_07_gorenstein_certification():
     report(7, "Gorenstein* certification", ok and dt < 300.0, dt)
 
 
+def test_certificates_match_face_search():
+    # the interval route against the retained face search, byte for byte
+    from cdindex.homology import _certify_by_faces
+
+    controls = [chain(r) for r in (1, 2, 3)]
+    controls += [polygon_minus_facet(4), pyramid_without_apex_star()]
+    for p in [p for _, p in corpus()] + controls:
+        assert is_gorenstein_star(p).to_json() == _certify_by_faces(p).to_json()
+
+
 def test_criterion_08_eulerian_gate():
     ok = True
     try:

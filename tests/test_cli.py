@@ -217,3 +217,25 @@ def test_gen_deterministic(tmp_path, capsys):
 def test_unreadable_input(capsys):
     code, _, err = run(capsys, "compute", "--input", "/nonexistent.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        [1, 2],
+        "poset",
+        {"rank": "2", "elements": [], "covers": []},
+        {"rank": 1, "elements": {"a": 1}, "covers": []},
+        {"rank": 1, "elements": [{"id": "a", "deg": "1"}], "covers": []},
+        {"rank": 1, "elements": [{"id": "a", "deg": 1.0}], "covers": []},
+        {"rank": 1, "elements": [{"deg": 1}], "covers": []},
+        {"rank": 1, "elements": [{"id": "a", "deg": 1}], "covers": [["a"]]},
+        {"rank": 1, "elements": [{"id": "a", "deg": 1}], "covers": {"a": "b"}},
+    ],
+)
+def test_malformed_json_shape_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    for argv in (["compute"], ["check", "--what", "eulerian"]):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == "" and "not a valid poset" in err

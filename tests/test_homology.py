@@ -25,7 +25,15 @@ from cdindex.poset import (
     simplex_fan,
 )
 
-from conftest import polygon_minus_facet, pyramid_without_apex_star, relabeled
+from conftest import (
+    RP2_6,
+    TORUS_7,
+    face_poset,
+    polygon_minus_facet,
+    pyramid_without_apex_star,
+    random_graded_poset,
+    relabeled,
+)
 
 
 def cycle_complex(n):
@@ -68,13 +76,7 @@ def test_homology_known_spaces():
 
 def test_homology_torus_is_invisible_over_q():
     # real projective plane: all rational homology vanishes
-    rp2 = SimplicialComplex(
-        [
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
-        ]
-    )
-    assert reduced_homology(rp2) == HomologyProfile([])
+    assert reduced_homology(SimplicialComplex(RP2_6)) == HomologyProfile([])
 
 
 def test_profile_api():
@@ -168,8 +170,6 @@ def test_gorenstein_star_finds_bad_link():
 
 
 def test_gorenstein_implies_eulerian(rng):
-    from conftest import random_graded_poset
-
     posets = [polygon(5), chain(2), polygon_minus_facet(4), cube_fan(2)]
     posets += [random_graded_poset(rng) for _ in range(25)]
     for p in posets:
@@ -218,12 +218,57 @@ def test_fast_certifier_matches_naive_link_route():
         pyramid_without_apex_star(),
         barycentric(polygon(3)).bposet,
         cube_fan(2),
+        face_poset(TORUS_7),
+        face_poset(RP2_6),
     ]
     for p in posets:
         cert = is_gorenstein_star(p)
         face, profile = naive_first_failure(p)
         assert cert.failing_face == face
         assert cert.betti == profile
+    # every proper interval of these two is a sphere; only the whole fails
+    assert is_gorenstein_star(face_poset(TORUS_7)).to_json() == {
+        "gorenstein_star": False, "failing_face": [], "betti": [0, 0, 2, 1],
+    }
+    assert is_gorenstein_star(face_poset(RP2_6)).to_json() == {
+        "gorenstein_star": False, "failing_face": [], "betti": [],
+    }
+
+
+def test_interval_certifier_matches_face_search(rng):
+    from cdindex.homology import _certify_by_faces
+
+    posets = [
+        random_graded_poset(rng, max_rank=rng.randint(1, 4), max_width=rng.randint(1, 4))
+        for _ in range(150)
+    ]
+    posets += [relabeled(build_pyramid(polygon(k)), rng) for k in (3, 5)]
+    posets += [barycentric(q).bposet for q in posets[:20] if len(q) < 12]
+    posets += [chain(0), relabeled(barycentric(cube_fan(2)).bposet, rng)]
+    verdicts = set()
+    for p in posets:
+        cert = is_gorenstein_star(p)
+        assert cert.to_json() == _certify_by_faces(p).to_json(), p.covers()
+        verdicts.add(bool(cert))
+    assert verdicts == {True, False}
+
+
+def test_passing_certificates_need_no_order_complex(monkeypatch):
+    import cdindex.homology as homology
+
+    def refuse(complex_):
+        raise AssertionError("order-complex homology on a passing poset")
+
+    monkeypatch.setattr(homology, "reduced_homology", refuse)
+    for p in [cube_fan(3), crosspoly_fan(3), build_pyramid(simplex_fan(3)),
+              barycentric(polygon(4)).bposet]:
+        assert is_gorenstein_star(p).betti == HomologyProfile.sphere(p.rank - 1)
+
+
+def test_gorenstein_star_simplex_fan_7():
+    # 254 elements; the face search alone ran for more than a minute here
+    cert = is_gorenstein_star(simplex_fan(7))
+    assert cert and cert.betti == HomologyProfile.sphere(6)
 
 
 def test_link_homology_is_interval_convolution(rng):
@@ -231,7 +276,6 @@ def test_link_homology_is_interval_convolution(rng):
     # or not) the link of a chain face is the join of the gap interval
     # complexes, and reduced homology convolves (shifted by one) over joins
     from cdindex.homology import _interval_complex
-    from conftest import random_graded_poset
 
     def convolve(a, b):
         out = [0] * (len(a) + len(b) - 1) if a and b else []
