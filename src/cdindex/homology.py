@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernel
-from .poset import _bits, induced_subposet
+from .poset import _bits, _chains, induced_subposet
 
 
 class SimplicialComplex:
@@ -278,24 +278,6 @@ def _convolve(a, b):
     return tuple(out)
 
 
-def _all_chains(poset):
-    """Every chain of proper elements (tuples sorted by degree), the empty
-    chain included."""
-    chains = [()]
-    frontier = [(e,) for e in poset.proper_elements()]
-    chains += frontier
-    while frontier:
-        new = []
-        for ch in frontier:
-            last = ch[-1]
-            for e in poset.up_set(last):
-                if e != last and e != poset.top:
-                    new.append(ch + (e,))
-        chains += new
-        frontier = new
-    return chains
-
-
 def is_gorenstein_star(poset):
     """Certify the Gorenstein* property of a graded poset.
 
@@ -422,7 +404,7 @@ def _certify_by_faces(poset):
                 break
         return HomologyProfile(vec)
 
-    faces = sorted(_all_chains(poset), key=lambda ch: (len(ch), tuple(sorted(ch))))
+    faces = sorted(_chains(poset), key=lambda ch: (len(ch), tuple(sorted(ch))))
     for chain in faces:
         expected = HomologyProfile.sphere(n - 1 - len(chain))
         got = face_profile(chain)

@@ -1,35 +1,103 @@
-"""Selects the exact-rank kernel at import: compiled extension if present,
-pure Python otherwise.
+"""Exact rank of sparse integer matrices.
 
-Set CDINDEX_PURE_KERNEL=1 to force the pure fallback.  The compiled kernel
-works in 64-bit integers and bails out to the pure implementation on the
-rare matrices whose elimination overflows its guard bounds, so results are
-identical either way.
+One elimination over the rationals with integer bookkeeping, in Python
+integers of unbounded size: each update is row <- a*row - b*pivot_row with
+a, b integers and a != 0, rows are kept primitive by content division, so
+ranks are exact.  Pivots favour columns of low fill and unit entries (rows
+with a single entry eliminate for free, which lets sphere-like boundary
+matrices cascade away cheaply).
 """
 
 from __future__ import annotations
 
-import os
+import heapq
+from math import gcd
 
-from . import _kernel_py
-
-if os.environ.get("CDINDEX_PURE_KERNEL"):
-    _fast = None
-else:
-    try:
-        from . import _kernel as _fast
-    except ImportError:
-        _fast = None
-
-IMPL = "compiled" if _fast is not None else _kernel_py.IMPL
+IMPL = "pure"
 
 
 def sparse_rank(entries):
-    """Exact rank over the rationals of integer (row, col, val) triples."""
-    if _fast is not None:
-        entries = list(entries)
-        try:
-            return _fast.sparse_rank(entries)
-        except OverflowError:
-            return _kernel_py.sparse_rank(entries)
-    return _kernel_py.sparse_rank(entries)
+    """Rank over the rationals of the integer matrix given as (row, col, val)
+    triples; duplicate positions are summed."""
+    rows = {}
+    for r, c, v in entries:
+        if v:
+            row = rows.setdefault(r, {})
+            row[c] = row.get(c, 0) + v
+    cols = {}
+    for r in list(rows):
+        row = rows[r]
+        for c in [c for c, v in row.items() if not v]:
+            del row[c]
+        if not row:
+            del rows[r]
+            continue
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+
+    heap = [(len(rs), c) for c, rs in cols.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        cnt, c = heapq.heappop(heap)
+        rs = cols.get(c)
+        if rs is None:
+            continue
+        if len(rs) != cnt:
+            heapq.heappush(heap, (len(rs), c))
+            continue
+        pr = min(rs, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
+        prow = rows[pr]
+        pv = prow[c]
+        touched = set()
+        for r in list(rs):
+            if r == pr:
+                continue
+            row = rows[r]
+            rv = row.pop(c)
+            g = gcd(pv, rv)
+            a = pv // g
+            b = rv // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for cc, vv in prow.items():
+                if cc == c:
+                    continue
+                nv = row.get(cc, 0) - b * vv
+                if nv:
+                    if cc not in row:
+                        cols[cc].add(r)
+                        touched.add(cc)
+                    row[cc] = nv
+                else:
+                    if cc in row:
+                        del row[cc]
+                        cols[cc].discard(r)
+                        touched.add(cc)
+            if row:
+                content = 0
+                for vv in row.values():
+                    content = gcd(content, vv)
+                    if content == 1:
+                        break
+                if content > 1:
+                    for k in row:
+                        row[k] //= content
+            else:
+                del rows[r]
+        for cc in prow:
+            if cc != c:
+                cols[cc].discard(pr)
+                touched.add(cc)
+        del rows[pr]
+        del cols[c]
+        rank += 1
+        for cc in touched:
+            rs2 = cols.get(cc)
+            if rs2 is not None:
+                if rs2:
+                    heapq.heappush(heap, (len(rs2), cc))
+                else:
+                    del cols[cc]
+    return rank

@@ -210,6 +210,21 @@ def _bits(mask):
         mask ^= low
 
 
+def _chains(poset):
+    """Yield every chain of proper elements as a tuple sorted by degree: the
+    empty chain first, then breadth-first by length."""
+    yield ()
+    frontier = [(e,) for e in poset.proper_elements()]
+    while frontier:
+        yield from frontier
+        frontier = [
+            ch + (e,)
+            for ch in frontier
+            for e in poset.up_set(ch[-1])
+            if e != ch[-1] and e != poset.top
+        ]
+
+
 # -- loading -------------------------------------------------------------------
 
 
@@ -602,19 +617,7 @@ class BarycentricResult:
 def barycentric(poset):
     """Barycentric subdivision: the lattice of chains in P minus its ends."""
     n = poset.rank
-    out = [(e,) for e in poset.proper_elements()]
-    # breadth-first extension; elements inside a chain stay degree-sorted
-    all_chains = [()] + out
-    frontier = out
-    while frontier:
-        new = []
-        for ch in frontier:
-            last = ch[-1]
-            for e in poset.up_set(last):
-                if e != last and e != poset.top:
-                    new.append(ch + (e,))
-        all_chains += new
-        frontier = new
+    all_chains = list(_chains(poset))
 
     def name(ch):
         return "<".join(ch) if ch else BOTTOM

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdindex import _kernel_py, kernel
+from cdindex import kernel
 
 
 def dense_fraction_rank(entries, nrows, ncols):
@@ -41,7 +41,6 @@ def random_entries(rng, nrows, ncols, density, lo=-3, hi=3):
 
 def test_empty_and_trivial():
     assert kernel.sparse_rank([]) == 0
-    assert _kernel_py.sparse_rank([]) == 0
     assert kernel.sparse_rank([(0, 0, 5)]) == 1
     assert kernel.sparse_rank([(0, 0, 1), (0, 0, -1)]) == 0  # duplicates sum
 
@@ -59,12 +58,12 @@ def test_matches_fraction_oracle(rng):
         ncols = rng.randint(1, 12)
         entries = random_entries(rng, nrows, ncols, rng.choice([0.15, 0.4, 0.8]))
         expected = dense_fraction_rank(entries, nrows, ncols)
-        assert _kernel_py.sparse_rank(entries) == expected
         assert kernel.sparse_rank(entries) == expected
 
 
 def test_implementations_agree_on_structured_matrices(rng):
-    # boundary-like matrices: each column has k nonzeros of alternating sign
+    # the sparse elimination and the Fraction oracle agree on boundary-like
+    # matrices: each column has k nonzeros of alternating sign
     for _ in range(20):
         nrows = rng.randint(5, 40)
         ncols = rng.randint(5, 40)
@@ -74,39 +73,30 @@ def test_implementations_agree_on_structured_matrices(rng):
             entries += [
                 (r, c, 1 if i % 2 == 0 else -1) for i, r in enumerate(supp)
             ]
-        assert _kernel_py.sparse_rank(entries) == kernel.sparse_rank(entries)
+        expected = dense_fraction_rank(entries, nrows, ncols)
+        assert kernel.sparse_rank(entries) == expected
 
 
 def test_larger_values(rng):
     for _ in range(20):
         entries = random_entries(rng, 8, 8, 0.5, lo=-50, hi=50)
         expected = dense_fraction_rank(entries, 8, 8)
-        assert _kernel_py.sparse_rank(entries) == expected
         assert kernel.sparse_rank(entries) == expected
 
 
-def test_compiled_kernel_present():
-    # the build in this repository compiles the extension; the dispatcher
-    # may still report "pure" when CDINDEX_PURE_KERNEL is set
-    import os
-
-    if os.environ.get("CDINDEX_PURE_KERNEL"):
-        assert kernel.IMPL == "pure"
-    else:
-        assert kernel.IMPL in ("compiled", "pure")
+def test_impl_is_pure():
+    assert kernel.IMPL == "pure"
 
 
 def test_big_int_path():
-    # values engineered to overflow the compiled guard get exact treatment
+    # entries near 2**62, whose products exceed 64 bits, stay exact
     big = 1 << 62
     entries = [(0, 0, big), (0, 1, 1), (1, 0, big - 1), (1, 1, 1)]
-    assert kernel.sparse_rank(entries) == 2
-    assert _kernel_py.sparse_rank(entries) == 2
+    assert kernel.sparse_rank(entries) == dense_fraction_rank(entries, 2, 2) == 2
 
 
-def test_overflow_during_elimination_falls_back(rng):
-    # inputs fit the 64-bit guard but the update products do not; the
-    # dispatcher must land on the exact big-int path with the same rank
+def test_big_int_products_during_elimination(rng):
+    # entries fit in 64 bits but the elimination's update products do not
     big = (1 << 35) + 1
     for trial in range(10):
         nrows = ncols = 6
@@ -117,4 +107,3 @@ def test_overflow_during_elimination_falls_back(rng):
                 entries.append((r, c, v))
         expected = dense_fraction_rank(entries, nrows, ncols)
         assert kernel.sparse_rank(entries) == expected
-        assert _kernel_py.sparse_rank(entries) == expected

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cdindex import poset as pm
+from cdindex.flags import flag_f
 from cdindex.poset import (
     GradedPoset,
     InvalidPoset,
@@ -197,6 +198,29 @@ def test_barycentric_degree_counts_are_chain_counts():
             if all(p.lt(a, b2) or p.lt(b2, a) for a, b2 in combinations(combo, 2))
         )
         assert len(b.bposet.elements_of_degree(k)) == chains
+
+
+@pytest.mark.parametrize(
+    "p, count",
+    [
+        (polygon(5), 21),
+        (chain(4), 16),
+        (simplex_fan(4), 541),
+        (build_pyramid(cube_fan(3)), 1069),
+    ],
+    ids=["polygon5", "chain4", "simplex_fan4", "pyramid_cube_fan3"],
+)
+def test_chain_count_matches_flag_f(p, count):
+    chains = list(pm._chains(p))
+    assert chains[0] == ()
+    assert all(
+        p.degree(x) < p.degree(y) for ch in chains for x, y in zip(ch, ch[1:])
+    )
+    assert len(set(chains)) == len(chains) == count
+    # f_S counts the chains with degree set S, the empty chain included
+    assert sum(flag_f(p).entries.values()) == count
+    # B(P) has one element per chain, plus its fresh top
+    assert len(barycentric(p).bposet) - 1 == count
 
 
 def test_barycentric_preserves_eulerian(rng):
