@@ -5,7 +5,9 @@ CdPolynomial maps words to exact coefficients.  The t-substitution sends a
 word to a multilinear polynomial in t_1, ..., t_n by replacing, left to
 right, c with (t_i + 1) and d with (t_i + t_{i+1}), each position used once;
 SubsetPolynomial holds such multilinear polynomials as subset -> coefficient
-maps.  All coefficients are exact (int or Fraction), never floats.
+maps.  to_cd inverts the substitution by peeling one letter at a time, with
+additions only, in O(2^n).  All coefficients are exact (int or Fraction),
+never floats.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ class NotACdPolynomial(ValueError):
 
 
 class NonIntegralCoefficients(ArithmeticError):
-    """Integer input led to non-integer cd-coefficients (internal inconsistency)."""
+    """Integer input led to non-integer cd-coefficients.
+
+    Kept as a public name only: to_cd no longer raises it, because peeling
+    never divides, so integer input always gives integer coefficients.
+    """
 
 
 def _norm(v):
@@ -338,93 +344,52 @@ def phi_expand(p):
     return SubsetPolynomial(n, total)
 
 
-def _word_pair_bits(w):
-    # bit positions (0-based) of the two slots of each d in the word
-    pairs = []
-    pos = 0
-    for letter in w:
-        if letter == "c":
-            pos += 1
-        else:
-            pairs.append((pos, pos + 1))
-            pos += 2
-    return pairs
-
-
 def to_cd(h):
     """Invert the t-substitution, or raise NotACdPolynomial.
 
-    Sets up the exact linear system of all degree-n word images against the
-    2^n subsets and solves it by rational elimination; a nonzero residual on
-    any subset certifies that h is not a cd-polynomial (for flag data: that
-    the poset is not Eulerian).  Raises NonIntegralCoefficients if an integer
-    input solves with fractional coefficients.
+    Peels the first letter in the ab-form of Bayer and Klapper, where c = a + b
+    and d = ab + ba and b at position i means t_i is in the subset.  Writing
+    the answer as c*P1 + d*P2, the subsets without t_1 give A = P1 + b*P2 and
+    those with it give B = P1 + a*P2, so A - B = (b - a)*P2: its b-part is P2,
+    its a-part must be -P2, and then P1 = A - b*P2.  Both are peeled in turn.
+    The cd-index is unique (Stanley 1994), so a nonzero a-part residual
+    certifies that h is not a cd-polynomial (for flag data: that the poset is
+    not Eulerian).  Only additions are used, never a division, so Fraction
+    coefficients pass through and integer input gives integer output; the
+    cost is O(2^n) for n = h.n.
     """
-    n = h.n
-    words = enumerate_cd_words(n)
-    nw = len(words)
-    pair_bits = [_word_pair_bits(w) for w in words]
-
-    def column_value(j, mask):
-        # coefficient of t^mask in the image of word j: each d needs exactly
-        # one of its two slots in the subset
-        for a, b in pair_bits[j]:
-            if (mask >> a & 1) == (mask >> b & 1):
-                return 0
-        return 1
-
-    target = [0] * (1 << n)
+    vals = [0] * (1 << h.n)
     for s, v in h.terms.items():
         mask = 0
         for i in s:
             mask |= 1 << (i - 1)
-        target[mask] = v
+        vals[mask] = v
+    terms = {}
+    _peel(vals, h.n, 0, "", terms)
+    return CdPolynomial(terms)
 
-    # forward elimination over rows in subset order until nw pivots are found
-    pivots = []  # list of (lead column, reduced row) in increasing lead order
-    for mask in range(1 << n):
-        row = [Fraction(column_value(j, mask)) for j in range(nw)]
-        row.append(Fraction(target[mask]))
-        for lead, prow in pivots:
-            if row[lead]:
-                f = row[lead]
-                for jj in range(lead, nw + 1):
-                    row[jj] -= f * prow[jj]
-        lead = next((j for j in range(nw) if row[j]), None)
-        if lead is None:
-            if row[nw]:
-                raise NotACdPolynomial(
-                    f"residual {row[nw]} at subset mask {mask:#b}"
-                )
-            continue
-        pv = row[lead]
-        row = [v / pv for v in row]
-        pivots.append((lead, row))
-        pivots.sort(key=lambda lr: lr[0])
-        if len(pivots) == nw:
-            break
-    assert len(pivots) == nw, "word images must be linearly independent"
 
-    # back substitution
-    coeffs = [Fraction(0)] * nw
-    for lead, row in reversed(pivots):
-        acc = row[nw]
-        for j in range(lead + 1, nw):
-            acc -= row[j] * coeffs[j]
-        coeffs[lead] = acc
-
-    # residual check over every subset, which doubles as the Eulerian gate
-    for mask in range(1 << n):
-        acc = 0
-        for j in range(nw):
-            if column_value(j, mask):
-                acc += coeffs[j]
-        if acc != target[mask]:
+def _peel(vals, n, depth, prefix, terms):
+    # vals[m] belongs to the subset m << depth of the caller's 1..depth+n, and
+    # every word found here is prefix followed by a word of degree n
+    if n == 0:
+        terms[prefix] = vals[0]
+        return
+    a, b = vals[0::2], vals[1::2]
+    diff = [x - y for x, y in zip(a, b)]
+    if n == 1:
+        if diff[0]:
+            raise NotACdPolynomial(f"residual {diff[0]} at subset mask 0b0")
+        terms[prefix + "c"] = a[0]
+        return
+    psi2 = diff[1::2]
+    # the a-part diff[2k] sits at the subset k << (depth + 2), which holds
+    # neither of the two positions peeled here
+    for k, (x, y) in enumerate(zip(diff[0::2], psi2)):
+        if x + y:
             raise NotACdPolynomial(
-                f"residual {acc - target[mask]} at subset mask {mask:#b}"
+                f"residual {x + y} at subset mask {k << (depth + 2):#b}"
             )
-
-    integral_input = all(isinstance(v, int) for v in h.terms.values())
-    if integral_input and any(v.denominator != 1 for v in coeffs):
-        raise NonIntegralCoefficients(f"solution {coeffs} is not integral")
-    return CdPolynomial({w: coeffs[j] for j, w in enumerate(words)})
+    a[1::2] = [x - y for x, y in zip(a[1::2], psi2)]
+    _peel(a, n - 1, depth + 1, prefix + "c", terms)
+    _peel(psi2, n - 2, depth + 2, prefix + "d", terms)

@@ -2,7 +2,9 @@
 
 f_S counts the chains in the proper part of a poset whose degree set is S;
 h_T is its inclusion-exclusion transform.  For Eulerian posets the h-data is
-the image of a unique cd-polynomial, recovered by cdpoly.to_cd.
+the image of a unique cd-polynomial, recovered by cdpoly.to_cd, which peels
+the t-substitution one letter at a time with additions only, in O(2^n) for
+rank n.
 """
 
 from __future__ import annotations

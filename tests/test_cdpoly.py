@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdindex.cdpoly import (
     CdPolynomial,
@@ -37,6 +40,113 @@ def brute_force_phi(word):
         s = frozenset().union(*combo) if combo else frozenset()
         terms[s] = terms.get(s, 0) + 1
     return SubsetPolynomial(word_degree(word), terms)
+
+
+def _word_pair_bits(w):
+    # bit positions (0-based) of the two slots of each d in the word
+    pairs = []
+    pos = 0
+    for letter in w:
+        if letter == "c":
+            pos += 1
+        else:
+            pairs.append((pos, pos + 1))
+            pos += 2
+    return pairs
+
+
+def _to_cd_by_elimination(h):
+    """The former to_cd, kept as the oracle for the peel (n <= 7 only).
+
+    Sets up the exact linear system of all degree-n word images against the
+    2^n subsets and solves it by rational elimination; a nonzero residual on
+    any subset certifies that h is not a cd-polynomial.  Raises
+    NonIntegralCoefficients if an integer input solves with fractional
+    coefficients.
+    """
+    n = h.n
+    assert n <= 7, "the elimination oracle is cubic in Fib(n+1); keep n small"
+    words = enumerate_cd_words(n)
+    nw = len(words)
+    pair_bits = [_word_pair_bits(w) for w in words]
+
+    def column_value(j, mask):
+        # coefficient of t^mask in the image of word j: each d needs exactly
+        # one of its two slots in the subset
+        for a, b in pair_bits[j]:
+            if (mask >> a & 1) == (mask >> b & 1):
+                return 0
+        return 1
+
+    target = [0] * (1 << n)
+    for s, v in h.terms.items():
+        mask = 0
+        for i in s:
+            mask |= 1 << (i - 1)
+        target[mask] = v
+
+    # forward elimination over rows in subset order until nw pivots are found
+    pivots = []  # list of (lead column, reduced row) in increasing lead order
+    for mask in range(1 << n):
+        row = [Fraction(column_value(j, mask)) for j in range(nw)]
+        row.append(Fraction(target[mask]))
+        for lead, prow in pivots:
+            if row[lead]:
+                f = row[lead]
+                for jj in range(lead, nw + 1):
+                    row[jj] -= f * prow[jj]
+        lead = next((j for j in range(nw) if row[j]), None)
+        if lead is None:
+            if row[nw]:
+                raise NotACdPolynomial(
+                    f"residual {row[nw]} at subset mask {mask:#b}"
+                )
+            continue
+        pv = row[lead]
+        row = [v / pv for v in row]
+        pivots.append((lead, row))
+        pivots.sort(key=lambda lr: lr[0])
+        if len(pivots) == nw:
+            break
+    assert len(pivots) == nw, "word images must be linearly independent"
+
+    # back substitution
+    coeffs = [Fraction(0)] * nw
+    for lead, row in reversed(pivots):
+        acc = row[nw]
+        for j in range(lead + 1, nw):
+            acc -= row[j] * coeffs[j]
+        coeffs[lead] = acc
+
+    # residual check over every subset, which doubles as the Eulerian gate
+    for mask in range(1 << n):
+        acc = 0
+        for j in range(nw):
+            if column_value(j, mask):
+                acc += coeffs[j]
+        if acc != target[mask]:
+            raise NotACdPolynomial(
+                f"residual {acc - target[mask]} at subset mask {mask:#b}"
+            )
+
+    integral_input = all(isinstance(v, int) for v in h.terms.values())
+    if integral_input and any(v.denominator != 1 for v in coeffs):
+        raise NonIntegralCoefficients(f"solution {coeffs} is not integral")
+    return CdPolynomial({w: coeffs[j] for j, w in enumerate(words)})
+
+
+int_or_fraction = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def cd_polynomials(draw, min_degree, max_degree, coefficients=int_or_fraction):
+    n = draw(st.integers(min_degree, max_degree))
+    words = enumerate_cd_words(n)
+    values = draw(st.lists(coefficients, min_size=len(words), max_size=len(words)))
+    return n, CdPolynomial(dict(zip(words, values)))
 
 
 def random_homogeneous(rng, degree):
@@ -167,11 +277,58 @@ def test_to_cd_flags_non_integral():
     half = phi_expand(C) * Fraction(1, 2)
     # fractional input solves fine
     assert to_cd(half) == CdPolynomial({"c": Fraction(1, 2)})
-    # integral input that needs fractional coefficients cannot exist in the
-    # image; NonIntegralCoefficients is reserved for internal inconsistency,
-    # so construct it directly through a fractional image scaled oddly
+    # peeling never divides, so integer input gives integer coefficients and
+    # to_cd no longer raises NonIntegralCoefficients
     h = SubsetPolynomial(1, {frozenset(): 1, frozenset({1}): 1})
     assert to_cd(h) == C
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(cd_polynomials(0, 7), st.randoms(use_true_random=False))
+def test_to_cd_matches_elimination_oracle(case, rnd):
+    n, p = case
+    terms = dict(phi_expand(p).terms) if p else {}
+    for _ in range(rnd.randint(0, 2)):
+        s = frozenset(i for i in range(1, n + 1) if rnd.random() < 0.5)
+        terms[s] = terms.get(s, 0) + rnd.choice([1, -1, Fraction(1, 2)])
+    h = SubsetPolynomial(n, terms)
+    try:
+        expected = _to_cd_by_elimination(h)
+    except NotACdPolynomial:
+        with pytest.raises(NotACdPolynomial):
+            to_cd(h)
+    else:
+        assert to_cd(h) == expected
+
+
+# degrees up to 8 are covered by test_roundtrip_small and criterion 11, and
+# Fraction input by the oracle test; phi_expand takes about 0.2 s at degree 12
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(cd_polynomials(9, 12, st.integers(-9, 9)))
+@example((12, CdPolynomial({w: 1 for w in enumerate_cd_words(12)})))
+def test_roundtrip_to_degree_12(case):
+    n, p = case
+    h = phi_expand(p) if p else SubsetPolynomial(n)
+    assert to_cd(h) == p
+
+
+def test_to_cd_residual_names_a_full_mask(rng):
+    for _ in range(20):
+        h = phi_expand(random_homogeneous(rng, 3))
+        terms = dict(h.terms)
+        s = frozenset(rng.sample([1, 2, 3], rng.randint(0, 3)))
+        terms[s] = terms.get(s, 0) + rng.choice([1, -1, 2])
+        with pytest.raises(NotACdPolynomial) as err:
+            to_cd(SubsetPolynomial(3, terms))
+        m = re.fullmatch(r"residual (\S+) at subset mask (0b[01]+)", str(err.value))
+        assert m and int(m.group(1)) != 0 and int(m.group(2), 2) < 1 << 3
+    # an equal bump on {5} and {1, 5} passes the first peel, and the second
+    # peel reports the subset {5} over 1..5, not its own local mask 0b1000
+    terms = dict(phi_expand(random_homogeneous(rng, 5)).terms)
+    for s in ({5}, {1, 5}):
+        terms[frozenset(s)] = terms.get(frozenset(s), 0) + 1
+    with pytest.raises(NotACdPolynomial, match=r"^residual 1 at subset mask 0b10000$"):
+        to_cd(SubsetPolynomial(5, terms))
 
 
 def test_roundtrip_small(rng):

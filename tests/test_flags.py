@@ -164,6 +164,33 @@ def test_eulerian_implies_cd_exists_and_methods_agree(rng):
     assert found >= 10
 
 
+def test_each_eulerian_gate_misses_a_non_eulerian_poset():
+    from cdindex.poset import GradedPoset, is_eulerian
+    from cdindex.recursion import NonIntegralResult, cd_index_stanley
+
+    # three atoms and three coatoms with six covers: h-data of the triangle,
+    # but the interval below y1 holds one atom
+    xs, ys = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
+    covers = [("_bot", x) for x in xs] + [(y, "_top") for y in ys]
+    covers += [("x1", "y1"), ("x2", "y2"), ("x3", "y2")]
+    covers += [(x, "y3") for x in xs]
+    degrees = {"_bot": 0, "_top": 3, **dict.fromkeys(xs, 1), **dict.fromkeys(ys, 2)}
+    p = GradedPoset(2, degrees, covers)
+    assert not is_eulerian(p)
+    assert cd_index_flag(p) == cd_index_flag(polygon(3))
+    with pytest.raises(NonIntegralResult):
+        cd_index_stanley(p)
+
+    # four atoms: 4c halves to 2c, but h_1 = 3 != h_empty
+    atoms = ["x1", "x2", "x3", "x4"]
+    covers = [("_bot", x) for x in atoms] + [(x, "_top") for x in atoms]
+    q = GradedPoset(1, {"_bot": 0, "_top": 2, **dict.fromkeys(atoms, 1)}, covers)
+    assert not is_eulerian(q)
+    assert cd_index_stanley(q) == CdPolynomial({"c": 2})
+    with pytest.raises(NotACdPolynomial):
+        cd_index_flag(q)
+
+
 def test_skeleton_poincare_pyramid():
     pyr = build_pyramid(polygon(4))
     got = skeleton_poincare(pyr, 2)
