@@ -9,9 +9,13 @@ rank n.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cdpoly import SubsetPolynomial, phi_expand, to_cd
+from .poset import _bits
 
 
 @dataclass(frozen=True)
@@ -42,45 +46,61 @@ def _subsets(n):
 
 
 def flag_f(poset):
-    """Flag f-vector by dynamic programming over degree layers."""
+    """Flag f-vector by extending chain counts one degree at a time.
+
+    The degree sets are walked depth first.  The chains with degree set S,
+    counted by their top element, extend to S + {b} for b > max S in one
+    step from layer max S to layer b, so every set costs one layer-to-layer
+    step on top of its parent's counts.  A set with no chains ends its
+    branch, since every extension of it has none either.
+    """
     n = poset.rank
-    down, _ = poset._masks()
-    by_degree = {
-        d: [poset._index[e] for e in poset.elements_of_degree(d)]
-        for d in range(1, n + 1)
-    }
-    entries = {}
-    for s in _subsets(n):
-        degs = sorted(s)
-        if not degs:
-            entries[s] = 1
-            continue
-        counts = {i: 1 for i in by_degree[degs[0]]}
-        for d in degs[1:]:
-            nxt = {}
-            for j in by_degree[d]:
-                dm = down[j]
-                nxt[j] = sum(v for i, v in counts.items() if dm >> i & 1)
-            counts = nxt
+    ix = poset.index_data()
+    # indices are sorted by degree: degree d holds start[d] .. start[d+1]-1,
+    # and the elements below j of degree a are one slice of below[j]; an
+    # array holds that slice without one int object per comparable pair
+    start = list(accumulate((m.bit_count() for m in ix.layers), initial=0))
+    below = [array("l", _bits(m)) for m in ix.down]
+    totals = [0] * (1 << n)
+    totals[0] = 1
+
+    def extend(mask, a, counts):
+        # counts[j]: chains with degree set mask whose top element is j
         total = sum(counts.values())
-        if total:
-            entries[s] = total
-    return FlagVector(n, entries)
+        if not total:
+            return
+        totals[mask] = total
+        get = counts.__getitem__
+        lo, hi = start[a], start[a + 1]
+        for b in range(a + 1, n + 1):
+            step = {}
+            for j in range(start[b], start[b + 1]):
+                under = below[j]
+                under = under[bisect_left(under, lo) : bisect_left(under, hi)]
+                step[j] = sum(map(get, under))
+            extend(mask | 1 << (b - 1), b, step)
+
+    for a in range(1, n + 1):
+        extend(1 << (a - 1), a, dict.fromkeys(range(start[a], start[a + 1]), 1))
+    return FlagVector(n, {s: t for s, t in zip(_subsets(n), totals) if t})
 
 
 def flag_h(f):
-    """Inclusion-exclusion transform h_T = sum over S in T of (-1)^|T-S| f_S."""
-    terms = {}
-    for t in _subsets(f.n):
-        acc = 0
-        # iterate over subsets of t
-        tl = sorted(t)
-        for mask in range(1 << len(tl)):
-            s = frozenset(tl[i] for i in range(len(tl)) if mask >> i & 1)
-            acc += (-1) ** (len(t) - len(s)) * f.entries.get(s, 0)
-        if acc:
-            terms[t] = acc
-    return SubsetPolynomial(f.n, terms)
+    """Inclusion-exclusion transform h_T = sum over S in T of (-1)^|T-S| f_S.
+
+    A signed subset-sum (Mobius) transform on a list indexed by subset mask,
+    one position at a time: O(n * 2^n) for n = f.n.
+    """
+    n = f.n
+    vals = [0] * (1 << n)
+    for s, v in f.entries.items():
+        vals[sum(1 << (i - 1) for i in s)] = v
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                vals[mask] -= vals[mask ^ bit]
+    return SubsetPolynomial(n, {s: v for s, v in zip(_subsets(n), vals) if v})
 
 
 def cd_index_flag(poset):

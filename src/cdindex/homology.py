@@ -211,20 +211,20 @@ def reduced_homology(complex_):
 
 def _interval_complex(poset, x, y):
     """Order complex of the open interval (x, y): chains as faces."""
-    down, up = poset._masks()
+    ix = poset.index_data()
     xi, yi = poset._index[x], poset._index[y]
-    mask = up[xi] & down[yi] & ~(1 << xi) & ~(1 << yi)
+    mask = ix.up[xi] & ix.down[yi] & ~(1 << xi) & ~(1 << yi)
     starts = [
         i
         for i in _bits(mask)
-        if poset._deg[i] == poset.degree(x) + 1
+        if ix.deg[i] == poset.degree(x) + 1
     ]
     facets = []
     stack = [(i, (poset._ids[i],)) for i in starts]
     end_deg = poset.degree(y) - 1
     while stack:
         i, chain = stack.pop()
-        if poset._deg[i] == end_deg:
+        if ix.deg[i] == end_deg:
             facets.append(chain)
             continue
         for j in poset._cov_up[i]:
@@ -299,8 +299,8 @@ def _intervals_are_spheres(poset):
     """True when every open interval (x, y) is a rational homology sphere of
     dimension deg y - deg x - 2; False at the first interval that is not, or
     whose top cycle cannot be found by sign propagation."""
-    down, up = poset._masks()
-    deg = poset._deg
+    ix = poset.index_data()
+    down, up, deg = ix.down, ix.up, ix.deg
     cov_down = poset._cov_down
     # element indices are sorted by degree: reversed order visits bases in
     # decreasing degree, and _bits yields the elements above one increasingly

@@ -7,14 +7,25 @@ and applying it to the constant function 1, rightmost letter first, returns
 the coefficient of that word in the cd-index whenever the poset is
 Gorenstein*.  Out-of-contract inputs are computed, not rejected: their
 disagreement with the flag method is a useful diagnostic.
+
+cd_index_operator evaluates all Fib(n+1) words of degree n together, by a
+walk over their suffixes: a c only lowers the level, a d applies D once for
+every word that ends with the suffix it completes, and each D computes E
+only on the elements of degree <= m-2 that its last C keeps.  The cost is
+one D per suffix that starts with d, not one per letter d of every word.
+eval_cd_monomial, op_C, op_D and op_E still evaluate one word at a time
+on SkeletonFunction values; compute --trace uses them, word by word.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .cdpoly import CdPolynomial, enumerate_cd_words, word_degree
-from .poset import barycentric, skeleton
+from .cdpoly import CdPolynomial, word_degree
+from .poset import _bits, barycentric, skeleton
 
 
 @dataclass(frozen=True)
@@ -119,11 +130,44 @@ def eval_cd_monomial(poset, word, trace=None):
 
 
 def cd_index_operator(poset):
-    """cd-index assembled from the operator evaluation of every word."""
+    """cd-index assembled from the operator evaluation of every word.
+
+    The words are evaluated together, by the suffix walk of the module
+    docstring.  Indices are sorted by degree, so a skeleton function at
+    level m is a list over the first size[m] indices and C costs nothing.
+    Each value equals eval_cd_monomial's for its word, on any input.
+    """
     n = poset.rank
-    return CdPolynomial(
-        {w: eval_cd_monomial(poset, w) for w in enumerate_cd_words(n)}
-    )
+    ix = poset.index_data()
+    deg = ix.deg
+    size = list(accumulate(layer.bit_count() for layer in ix.layers))
+    # arrays, not tuples: no int object per comparable pair
+    ups = [array("l", _bits(u)) for u in ix.up]
+    values = {}
+
+    def apply_d(m, f):
+        # E at level m-1 on the elements of degree <= m-2, minus the identity
+        top = size[m - 1]
+        signed = [
+            v if (m - 1 - deg[t]) % 2 == 0 else -v for t, v in enumerate(f[:top])
+        ]
+        out = []
+        for s in range(size[m - 2]):
+            above = ups[s]
+            above = above[: bisect_left(above, top)]
+            out.append(sum(map(signed.__getitem__, above)) - f[s])
+        return out
+
+    def walk(m, f, suffix):
+        if m == 0:
+            values[suffix] = f[0]
+            return
+        walk(m - 1, f, "c" + suffix)
+        if m >= 2:
+            walk(m - 2, apply_d(m, f), "d" + suffix)
+
+    walk(n, [1] * size[n], "")
+    return CdPolynomial(values)
 
 
 def pullback(f, bary):

@@ -27,6 +27,17 @@ class InvalidPoset(ValueError):
     """The data does not satisfy the graded poset axioms."""
 
 
+@dataclass(frozen=True)
+class IndexData:
+    """Degrees, order masks and degree layers by element index; see
+    GradedPoset.index_data."""
+
+    deg: tuple
+    down: tuple
+    up: tuple
+    layers: tuple
+
+
 class GradedPoset:
     """Immutable graded poset on string ids.
 
@@ -56,8 +67,7 @@ class GradedPoset:
             down[hi].append(lo)
         self._cov_up = tuple(tuple(sorted(u)) for u in up)
         self._cov_down = tuple(tuple(sorted(d)) for d in down)
-        self._up_masks = None
-        self._down_masks = None
+        self._index_data = None
         if check:
             self._validate()
 
@@ -135,30 +145,41 @@ class GradedPoset:
 
     # -- comparability ---------------------------------------------------------
 
-    def _masks(self):
-        # down_masks[i] has bit j set iff j <= i; up_masks[i]: bit j iff j >= i
-        if self._down_masks is None:
+    def index_data(self):
+        """Index-level view of the poset for algorithms that work on bitmasks.
+
+        Element i is ``elements()[i]``.  Indices follow (degree, id) order, so
+        the elements of degree <= d are a prefix of them.  ``deg[i]`` is the
+        degree of element i; bit j of ``down[i]`` is set iff j <= i and bit j
+        of ``up[i]`` iff j >= i; ``layers[d]`` is the mask of the elements of
+        degree d, for d = 0 .. rank + 1.  Computed once, then shared.
+        """
+        if self._index_data is None:
             n = len(self._ids)
-            order = sorted(range(n), key=lambda i: self._deg[i])
+            # indices are sorted by degree, so every lower cover comes first
             down = [0] * n
-            for i in order:
+            for i in range(n):
                 m = 1 << i
                 for j in self._cov_down[i]:
                     m |= down[j]
                 down[i] = m
             up = [0] * n
-            for i in reversed(order):
+            for i in reversed(range(n)):
                 m = 1 << i
                 for j in self._cov_up[i]:
                     m |= up[j]
                 up[i] = m
-            self._down_masks = down
-            self._up_masks = up
-        return self._down_masks, self._up_masks
+            layers = [0] * (max(self._deg, default=0) + 1)
+            for i, d in enumerate(self._deg):
+                layers[d] |= 1 << i
+            self._index_data = IndexData(
+                self._deg, tuple(down), tuple(up), tuple(layers)
+            )
+        return self._index_data
 
     def leq(self, x, y):
         """True iff x <= y."""
-        down, _ = self._masks()
+        down = self.index_data().down
         return bool(down[self._index[y]] >> self._index[x] & 1)
 
     def lt(self, x, y):
@@ -166,24 +187,24 @@ class GradedPoset:
 
     def up_set(self, e):
         """All elements >= e (including e), sorted by (degree, id)."""
-        _, up = self._masks()
+        up = self.index_data().up
         return tuple(self._ids[i] for i in _bits(up[self._index[e]]))
 
     def down_set(self, e):
         """All elements <= e (including e)."""
-        down, _ = self._masks()
+        down = self.index_data().down
         return tuple(self._ids[i] for i in _bits(down[self._index[e]]))
 
     def closed_interval(self, x, y):
         """Elements z with x <= z <= y."""
-        down, up = self._masks()
-        m = up[self._index[x]] & down[self._index[y]]
+        ix = self.index_data()
+        m = ix.up[self._index[x]] & ix.down[self._index[y]]
         return tuple(self._ids[i] for i in _bits(m))
 
     def open_interval(self, x, y):
         """Elements z with x < z < y."""
-        down, up = self._masks()
-        m = up[self._index[x]] & down[self._index[y]]
+        ix = self.index_data()
+        m = ix.up[self._index[x]] & ix.down[self._index[y]]
         m &= ~(1 << self._index[x])
         m &= ~(1 << self._index[y])
         return tuple(self._ids[i] for i in _bits(m))
@@ -485,12 +506,13 @@ def induced_subposet(parent, members, adjoin_top=True):
     members = frozenset(members)
     if not members:
         return ElementSubposet(parent, members, None)
-    down, up = parent._masks()
+    ix = parent.index_data()
+    down, up = ix.down, ix.up
     idx = sorted(parent._index[e] for e in members)
     member_mask = 0
     for i in idx:
         member_mask |= 1 << i
-    degrees = {parent._ids[i]: parent._deg[i] for i in idx}
+    degrees = {parent._ids[i]: ix.deg[i] for i in idx}
     if min(degrees.values()) != 0:
         raise InvalidPoset("subposet members must include the bottom")
     covers = []
@@ -557,7 +579,8 @@ def mobius(poset, x, y):
     """Mobius function mu(x, y) by the standard recursion."""
     if not poset.leq(x, y):
         raise ValueError(f"{x!r} is not below {y!r}")
-    down, up = poset._masks()
+    ix = poset.index_data()
+    down, up = ix.down, ix.up
     xi = poset._index[x]
     interval = up[xi] & down[poset._index[y]]
     memo = {xi: 1}
@@ -570,8 +593,8 @@ def mobius(poset, x, y):
         memo[zi] = val
         return val
 
-    # fill bottom-up to keep recursion shallow
-    for zi in sorted(_bits(interval), key=lambda i: poset._deg[i]):
+    # indices are sorted by degree: fill bottom-up to keep recursion shallow
+    for zi in _bits(interval):
         mu(zi)
     return memo[poset._index[y]]
 
@@ -581,12 +604,12 @@ def is_eulerian(poset):
 
     Equivalent to mu(x, y) = (-1)^(deg y - deg x) on all intervals.
     """
-    down, up = poset._masks()
+    ix = poset.index_data()
+    down, up = ix.down, ix.up
     n = len(poset)
     even_mask = 0
-    for i, d in enumerate(poset._deg):
-        if d % 2 == 0:
-            even_mask |= 1 << i
+    for layer in ix.layers[::2]:
+        even_mask |= layer
     for xi in range(n):
         for yi in _bits(up[xi] & ~(1 << xi)):
             inter = up[xi] & down[yi]

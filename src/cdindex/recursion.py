@@ -10,10 +10,10 @@ certify non-Eulerian input.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cdpoly import CdPolynomial
+from .poset import _bits
 
 
 class NonIntegralResult(ArithmeticError):
@@ -29,44 +29,49 @@ def _cc_2d_power(j):
     return _CC_2D**j
 
 
+@lru_cache(maxsize=None)
+def _factor(j):
+    # the multiplier of a lower index j degrees below the interval's rank,
+    # as (word, coefficient) pairs
+    if j % 2 == 0:
+        return tuple((_C * _cc_2d_power(j // 2)).terms.items())
+    return tuple((-_cc_2d_power((j + 1) // 2)).terms.items())
+
+
 def cd_index_stanley(poset):
     """cd-index by recursion over the lower intervals of every element.
 
-    Each element's interval index is computed once (memoized by element id,
-    not by isomorphism class: isomorphism tests cost more than recomputation
-    at this scale).
+    The index of each interval [bottom, sigma] is computed once, in order of
+    increasing degree (memoized by element, not by isomorphism class:
+    isomorphism tests cost more than recomputation at this scale).  The
+    recursion is linear in the lower indices, so for each sigma the indices
+    of the elements of one degree k below it are added first, and each
+    degree's sum is multiplied by its (c^2-2d) factor once, not once per
+    element.
     """
-    memo = {}
-
-    def interval_index(sigma):
-        # cd-index of the rank deg(sigma)-1 poset [bottom, sigma]
-        if sigma in memo:
-            return memo[sigma]
-        n = poset.degree(sigma) - 1
-        total = CdPolynomial.zero()
-        for tau in poset.down_set(sigma):
-            if tau == sigma or tau == poset.bottom:
-                continue
-            k = poset.degree(tau)
-            base = memo[tau]
-            if (n - k) % 2 == 0:
-                total = total + base * _C * _cc_2d_power((n - k) // 2)
-            else:
-                total = total - base * _cc_2d_power((n - k + 1) // 2)
+    ix = poset.index_data()
+    ids = poset.elements()
+    memo = [()] * len(ids)
+    # indices are sorted by degree, and index 0 is the bottom
+    for sigma in range(1, len(ids)):
+        n = ix.deg[sigma] - 1
+        total = {}
+        for k in range(1, n + 1):
+            group = {}
+            for tau in _bits(ix.down[sigma] & ix.layers[k]):
+                for w, v in memo[tau]:
+                    group[w] = group.get(w, 0) + v
+            for w1, v1 in group.items():
+                for w2, v2 in _factor(n - k):
+                    w = w1 + w2
+                    total[w] = total.get(w, 0) + v1 * v2
         if n % 2 == 0:
-            total = total + 2 * _cc_2d_power(n // 2)
-        half = CdPolynomial(
-            {w: Fraction(v, 2) for w, v in total.terms.items()}
-        )
-        if not half.is_integral():
+            for w, v in _cc_2d_power(n // 2).terms.items():
+                total[w] = total.get(w, 0) + 2 * v
+        if any(v % 2 for v in total.values()):
             raise NonIntegralResult(
-                f"interval below {sigma!r} sums to {total}, not divisible by 2"
+                f"interval below {ids[sigma]!r} sums to {CdPolynomial(total)}, "
+                "not divisible by 2"
             )
-        memo[sigma] = half
-        return half
-
-    # ascend degree by degree so every lower interval is already memoized
-    for d in range(1, poset.rank + 2):
-        for sigma in poset.elements_of_degree(d):
-            interval_index(sigma)
-    return memo[poset.top]
+        memo[sigma] = tuple((w, v // 2) for w, v in total.items() if v)
+    return CdPolynomial(dict(memo[-1]))

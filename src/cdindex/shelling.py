@@ -98,7 +98,7 @@ def shelling_steps(poset, order):
     facets = poset.elements_of_degree(n)
     if sorted(order) != sorted(facets):
         raise ValueError("order must list every maximal element exactly once")
-    down, _ = poset._masks()
+    down = poset.index_data().down
     seen = down[poset._index[order[0]]]
     steps = []
     for i, sigma in enumerate(order[1:], start=2):

@@ -1,23 +1,32 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdindex.cdpoly import CdPolynomial, NotACdPolynomial, SubsetPolynomial, phi_expand
 from cdindex.flags import (
+    FlagVector,
+    _subsets,
     cd_index_flag,
     flag_f,
     flag_h,
     skeleton_poincare,
     verify_duality,
 )
+from cdindex.operators import cd_index_operator
 from cdindex.poset import (
     barycentric,
+    build_family,
     build_pyramid,
     chain,
     cube_fan,
     polygon,
     simplex_fan,
 )
+from cdindex.recursion import cd_index_stanley
+
+from conftest import random_graded_poset
 
 
 def brute_force_flag_f(p):
@@ -33,6 +42,22 @@ def brute_force_flag_f(p):
                 if len(s) == k:
                     entries[s] = entries.get(s, 0) + 1
     return entries
+
+
+def _flag_h_by_subsets(f):
+    """Inclusion-exclusion over every subset of every subset, O(3^n): the
+    former library transform, kept as the oracle for the subset-sum one."""
+    terms = {}
+    for t in _subsets(f.n):
+        acc = 0
+        # iterate over subsets of t
+        tl = sorted(t)
+        for mask in range(1 << len(tl)):
+            s = frozenset(tl[i] for i in range(len(tl)) if mask >> i & 1)
+            acc += (-1) ** (len(t) - len(s)) * f.entries.get(s, 0)
+        if acc:
+            terms[t] = acc
+    return SubsetPolynomial(f.n, terms)
 
 
 def test_flag_f_polygon():
@@ -63,6 +88,30 @@ def test_flag_f_counts_barycentric_degrees():
             if s:
                 got = sum(1 for e, t in b.typeset.items() if t == s)
                 assert got == value
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_flag_f_matches_enumeration_oracle(rnd):
+    p = random_graded_poset(rnd, max_rank=5, max_width=3)
+    assert flag_f(p).entries == brute_force_flag_f(p)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_flag_h_matches_subset_oracle(rnd):
+    # flag vectors of random posets, and arbitrary integer vectors with
+    # missing and zero entries up to n = 7
+    p = random_graded_poset(rnd, max_rank=5)
+    f = flag_f(p)
+    assert flag_h(f) == _flag_h_by_subsets(f)
+    n = rnd.randint(0, 7)
+    g = FlagVector(
+        n, {s: rnd.randint(-3, 3) for s in _subsets(n) if rnd.random() < 0.7}
+    )
+    h = flag_h(g)
+    assert h == _flag_h_by_subsets(g)
+    assert all(h.terms.values())
 
 
 def test_flag_vector_json():
@@ -189,6 +238,39 @@ def test_each_eulerian_gate_misses_a_non_eulerian_poset():
     assert cd_index_stanley(q) == CdPolynomial({"c": 2})
     with pytest.raises(NotACdPolynomial):
         cd_index_flag(q)
+
+
+@st.composite
+def gorenstein_posets(draw):
+    """A random fan member under up to two pyramids and barycentric
+    subdivisions: face posets of regular CW spheres, so Gorenstein* and
+    Eulerian."""
+    sizes = {
+        "polygon": (3, 8),
+        "simplex_fan": (1, 4),
+        "cube_fan": (1, 3),
+        "crosspoly_fan": (1, 3),
+    }
+    kind = draw(st.sampled_from(sorted(sizes)))
+    p = build_family(kind, draw(st.integers(*sizes[kind])))
+    for step in draw(st.lists(st.sampled_from(["pyramid", "barycentric"]), max_size=2)):
+        # subdividing a poset of more than 60 elements could take one
+        # example past 0.1 s
+        if step == "barycentric" and len(p) <= 60:
+            p = barycentric(p).bposet
+        else:
+            p = build_pyramid(p)
+    return p
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(gorenstein_posets())
+def test_three_methods_agree_and_are_nonnegative(p):
+    ix = cd_index_flag(p)
+    assert cd_index_stanley(p) == ix
+    assert cd_index_operator(p) == ix
+    assert ix.coefficient("c" * p.rank) == 1
+    assert all(v >= 0 for v in ix.terms.values())
 
 
 def test_skeleton_poincare_pyramid():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdindex.cdpoly import CdPolynomial
+from cdindex.cdpoly import CdPolynomial, enumerate_cd_words
 from cdindex.flags import cd_index_flag
 from cdindex.operators import (
     SkeletonFunction,
@@ -14,6 +16,8 @@ from cdindex.operators import (
     pullback,
 )
 from cdindex.poset import barycentric, build_pyramid, chain, polygon, simplex_fan, skeleton
+
+from conftest import random_graded_poset
 
 
 def random_function(p, m, rng, low=-5, high=5):
@@ -122,6 +126,18 @@ def test_cd_index_operator_values():
 def test_operator_agrees_with_flag():
     for p in [simplex_fan(3), build_pyramid(polygon(5)), simplex_fan(4)]:
         assert cd_index_operator(p) == cd_index_flag(p)
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_operator_matches_per_word_oracle(rnd):
+    # random graded posets are rarely Gorenstein*: the values outside the
+    # contract must match word for word too
+    p = random_graded_poset(rnd, max_rank=5)
+    expected = CdPolynomial(
+        {w: eval_cd_monomial(p, w) for w in enumerate_cd_words(p.rank)}
+    )
+    assert cd_index_operator(p) == expected
 
 
 def test_pullback_basics():

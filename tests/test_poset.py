@@ -111,6 +111,27 @@ def test_order_queries():
     assert set(p.open_interval("_bot", "_top")) == set(p.proper_elements())
 
 
+def test_index_data_matches_covers(rng):
+    posets = [pm.build_pyramid(pm.polygon(4))]
+    posets += [random_graded_poset(rng) for _ in range(20)]
+    for p in posets:
+        ix = p.index_data()
+        ids = p.elements()
+        assert ix is p.index_data()
+        assert ix.deg == tuple(p.degree(e) for e in ids)
+        for d in range(p.rank + 2):
+            layer = [ids[i] for i in pm._bits(ix.layers[d])]
+            assert layer == list(p.elements_of_degree(d))
+        # order closure from the covers alone, highest degree first
+        above = {}
+        for e in reversed(ids):
+            above[e] = {e}.union(*(above[u] for u in p.upper_covers(e)))
+        for i, x in enumerate(ids):
+            for j, y in enumerate(ids):
+                assert bool(ix.down[j] >> i & 1) == bool(ix.up[i] >> j & 1)
+                assert bool(ix.up[i] >> j & 1) == (y in above[x])
+
+
 def test_mobius_values():
     p = polygon(5)
     assert mobius(p, "r1", "r1") == 1
