@@ -16,16 +16,45 @@ So P is Gorenstein* exactly when every open interval (x, y), x < y, has the
 rational homology of S^(deg y - deg x - 2), and is_gorenstein_star checks
 intervals, not faces.
 
-Cellular route.  For a base x, the elements z of [x, y) are the cells of a
-chain complex: z has dimension deg z - deg x - 1 and x is the (-1)-cell.
-The boundary of z is a vector spanning the top cycles of (x, z), which is
-one-dimensional once (x, z) is a sphere.  Bases are processed in decreasing
-degree and the elements y above a base in increasing degree, so when (x, y)
-is examined every (w, z) with w > x, and every (x, z) with z < y, is already
-certified.  Then each ridge of (x, y) (an element two degrees below y) lies
-in exactly two facets, because (ridge, y) is S^0, and the top cycle of
-(x, y) follows by propagating signs +-1 across ridges: integer arithmetic
-only, and matrix sides are element counts, not chain counts.
+Cellular route.  One signing of the covers serves every interval.  Atoms
+get eps = {bottom: 1}, and each element y of degree >= 2, in increasing
+index order, gets eps[y]: a +-1 vector on its lower covers, found by
+propagating signs across ridges (elements two degrees below y) so that the
+terms of every 2-chain w < c < y cancel.  Propagation needs each ridge in
+exactly two facets and the facets joined across ridges with consistent
+signs.  A Gorenstein* poset has this for every y, since (bottom, y) is a
+sphere, so a y without it ends the check.  The signing also proves that
+every interval of length two has exactly two middle elements, so the
+intervals with deg y - deg x = 2 are S^0 with no further work.
+
+For a base x, the elements z of [x, y) are the cells of a chain complex: z
+has dimension deg z - deg x - 1, x is the (-1)-cell, and the boundary of z
+is eps[z] restricted to the cells.  This is a valid boundary: for w two
+degrees below z, every 2-chain w < c < z lies in [x, z], so its terms still
+cancel.  The restricted eps[z] has +-1 entries, so it is a nonzero top cycle
+of (x, z), which spans the one-dimensional top cycles once (x, z) is a
+sphere; that is all the filtration argument below asks of it.
+
+Bases are processed in decreasing degree and the elements y above a base in
+increasing degree, so when (x, y) is examined every (w, z) with w > x, and
+every (x, z) with z < y, is already certified.  Every link in Delta(x, y) is
+a join of such intervals, so for d = deg y - deg x - 2 >= 1, Delta(x, y) is
+a closed rational homology d-manifold.  The restricted eps[y] is a d-cycle
+that is nonzero on every facet, so every component is orientable.  Three
+checks remain:
+- connectivity: a search over the atoms and coatoms of [x, y], joined when
+  comparable, must reach every atom.  A connected, orientable, closed
+  homology d-manifold has b_0 = 0 (reduced), b_d = 1 and, by Poincare
+  duality over Q (J. R. Munkres, "Elements of Algebraic Topology", 1984),
+  b_k = b_(d-k);
+- ranks: so b_1 .. b_m with m = (d-1) // 2 settle every b_k, 0 < k < d,
+  except the middle one for even d.  Connectivity gives r_1 = |C_0| - 1,
+  and kernel.sparse_rank gives r_2 .. r_(m+1): (d-1) // 2 rank calls per
+  interval, none for d <= 2;
+- Euler characteristic: for even d, the alternating cell count
+  sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.
+Arithmetic is in integers only, and matrix sides are element counts, not
+chain counts.
 
 Why the cellular complex computes the homology of Delta(x, y).  Filter the
 order complex by the degree of a chain's largest element.  The layer for z
@@ -212,24 +241,21 @@ def reduced_homology(complex_):
 def _interval_complex(poset, x, y):
     """Order complex of the open interval (x, y): chains as faces."""
     ix = poset.index_data()
-    xi, yi = poset._index[x], poset._index[y]
+    ids = poset.elements()
+    xi, yi = ix.index[x], ix.index[y]
     mask = ix.up[xi] & ix.down[yi] & ~(1 << xi) & ~(1 << yi)
-    starts = [
-        i
-        for i in _bits(mask)
-        if ix.deg[i] == poset.degree(x) + 1
-    ]
+    starts = [i for i in _bits(mask) if ix.deg[i] == ix.deg[xi] + 1]
     facets = []
-    stack = [(i, (poset._ids[i],)) for i in starts]
-    end_deg = poset.degree(y) - 1
+    stack = [(i, (ids[i],)) for i in starts]
+    end_deg = ix.deg[yi] - 1
     while stack:
         i, chain = stack.pop()
         if ix.deg[i] == end_deg:
             facets.append(chain)
             continue
-        for j in poset._cov_up[i]:
+        for j in ix.cov_up[i]:
             if mask >> j & 1:
-                stack.append((j, chain + (poset._ids[j],)))
+                stack.append((j, chain + (ids[j],)))
     return SimplicialComplex(facets)
 
 
@@ -298,28 +324,30 @@ def is_gorenstein_star(poset):
 def _intervals_are_spheres(poset):
     """True when every open interval (x, y) is a rational homology sphere of
     dimension deg y - deg x - 2; False at the first interval that is not, or
-    whose top cycle cannot be found by sign propagation."""
+    at the first element y whose lower interval (bottom, y) has no +-1 top
+    cycle (see the module docstring)."""
     ix = poset.index_data()
-    down, up, deg = ix.down, ix.up, ix.deg
-    cov_down = poset._cov_down
-    # element indices are sorted by degree: reversed order visits bases in
-    # decreasing degree, and _bits yields the elements above one increasingly
+    down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
+    # eps[y] maps the lower covers of y to +-1: a top cycle of (bottom, y),
+    # found by sign propagation; element 0 is the bottom
+    eps = [None] * len(deg)
+    for y in range(1, len(deg)):
+        eps[y] = {0: 1} if deg[y] == 1 else _top_cycle(ix.cov_down[y], eps)
+        if eps[y] is None:
+            return False
+    # reversed index order visits bases in decreasing degree, and _bits yields
+    # the elements above one increasingly
     for x in reversed(range(len(deg))):
-        # boundary[z] maps the cells of [x, z) one dimension below z to +-1
-        boundary = {}
-        for y in _bits(up[x] & ~(1 << x)):
+        for y in _bits(up[x]):
             d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
-            if d < 0:
-                boundary[y] = {x: 1}
-                continue
+            if d < 1:
+                continue  # S^-1 and, by the signing, S^0 hold already
             cells = up[x] & down[y]
-            facets = [c for c in cov_down[y] if cells >> c & 1]
-            top = _top_cycle(facets, boundary)
-            if top is None:
+            atoms = cells & layers[deg[x] + 1]
+            if not _connected(atoms, cells & layers[deg[y] - 1], up, down):
                 return False
-            if d >= 1 and not _acyclic_below_top(cells, deg[x], d, deg, boundary):
+            if not _acyclic_below_top(cells, deg[x], d, layers, eps):
                 return False
-            boundary[y] = top
     return True
 
 
@@ -355,26 +383,54 @@ def _top_cycle(facets, boundary):
     return sign if len(sign) == len(facets) else None
 
 
-def _acyclic_below_top(cells, base_deg, d, deg, boundary):
+def _connected(atoms, coatoms, up, down):
+    """Whether the atoms and coatoms of an interval, joined when comparable,
+    form one component; the interval's order complex is then connected,
+    since every element lies above an atom and below a coatom."""
+    seen_a = todo = atoms & -atoms
+    seen_c = 0
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new_c = up[low.bit_length() - 1] & coatoms & ~seen_c
+        seen_c |= new_c
+        while new_c:
+            low = new_c & -new_c
+            new_c ^= low
+            new_a = down[low.bit_length() - 1] & atoms & ~seen_a
+            seen_a |= new_a
+            todo |= new_a
+    return seen_a == atoms
+
+
+def _acyclic_below_top(cells, base_deg, d, layers, eps):
     """Whether the cellular complex of [x, y) has no reduced homology in
-    dimensions 0 .. d-1, given that its top boundary has a one-dimensional
-    kernel; ``cells`` is the mask of [x, y], and deg x is ``base_deg``.
+    dimensions 0 .. d-1, given that Delta(x, y) is a connected, orientable
+    closed homology d-manifold; ``cells`` is the mask of [x, y], deg x is
+    ``base_deg`` and the boundary of a cell z is ``eps[z]`` restricted to
+    ``cells``.
 
     With r_k the rank of the boundary from dimension k to k-1, Betti number
-    k is |C_k| - r_k - r_(k+1).  r_0 = 1 (every vertex bounds the (-1)-cell)
-    and r_d = |C_d| - 1 are known; kernel.sparse_rank gives the others.
+    k is |C_k| - r_k - r_(k+1).  Connectedness gives r_1 = |C_0| - 1 and
+    Poincare duality b_k = b_(d-k), so only b_1 .. b_m with m = (d-1) // 2
+    are computed, from r_2 .. r_(m+1) by kernel.sparse_rank; for even d the
+    middle Betti number vanishes when the Euler characteristic is 2.
     """
-    levels = [[] for _ in range(d + 1)]
-    for z in _bits(cells):
-        k = deg[z] - base_deg - 1
-        if 0 <= k <= d:
-            levels[k].append(z)
-    ranks = [1]
-    for k in range(1, d):
-        entries = [(w, z, a) for z in levels[k] for w, a in boundary[z].items()]
+    sizes = [(cells & layers[base_deg + 1 + k]).bit_count() for k in range(d + 1)]
+    m = (d - 1) // 2
+    ranks = [1, sizes[0] - 1]
+    for k in range(2, m + 2):
+        level = cells & layers[base_deg + 1 + k]
+        entries = [
+            (w, z, a)
+            for z in _bits(level)
+            for w, a in eps[z].items()
+            if cells >> w & 1
+        ]
         ranks.append(kernel.sparse_rank(entries))
-    ranks.append(len(levels[d]) - 1)
-    return all(len(levels[k]) == ranks[k] + ranks[k + 1] for k in range(d))
+    if any(sizes[k] != ranks[k] + ranks[k + 1] for k in range(1, m + 1)):
+        return False
+    return d % 2 == 1 or sum(sizes[::2]) - sum(sizes[1::2]) == 2
 
 
 def _certify_by_faces(poset):

@@ -29,13 +29,16 @@ class InvalidPoset(ValueError):
 
 @dataclass(frozen=True)
 class IndexData:
-    """Degrees, order masks and degree layers by element index; see
-    GradedPoset.index_data."""
+    """Degrees, order masks, degree layers, covers and the id map by
+    element index; see GradedPoset.index_data."""
 
     deg: tuple
     down: tuple
     up: tuple
     layers: tuple
+    cov_down: tuple
+    cov_up: tuple
+    index: dict
 
 
 class GradedPoset:
@@ -152,7 +155,9 @@ class GradedPoset:
         the elements of degree <= d are a prefix of them.  ``deg[i]`` is the
         degree of element i; bit j of ``down[i]`` is set iff j <= i and bit j
         of ``up[i]`` iff j >= i; ``layers[d]`` is the mask of the elements of
-        degree d, for d = 0 .. rank + 1.  Computed once, then shared.
+        degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` and ``cov_up[i]``
+        are the sorted indices that element i covers and that cover it, and
+        ``index`` maps an id to its index.  Computed once, then shared.
         """
         if self._index_data is None:
             n = len(self._ids)
@@ -173,7 +178,8 @@ class GradedPoset:
             for i, d in enumerate(self._deg):
                 layers[d] |= 1 << i
             self._index_data = IndexData(
-                self._deg, tuple(down), tuple(up), tuple(layers)
+                self._deg, tuple(down), tuple(up), tuple(layers),
+                self._cov_down, self._cov_up, self._index,
             )
         return self._index_data
 

@@ -98,12 +98,13 @@ def shelling_steps(poset, order):
     facets = poset.elements_of_degree(n)
     if sorted(order) != sorted(facets):
         raise ValueError("order must list every maximal element exactly once")
-    down = poset.index_data().down
-    seen = down[poset._index[order[0]]]
+    ix = poset.index_data()
+    ids = poset.elements()
+    seen = ix.down[ix.index[order[0]]]
     steps = []
     for i, sigma in enumerate(order[1:], start=2):
-        mask = down[poset._index[sigma]] & seen
-        members = [poset._ids[j] for j in _bits(mask)]
+        mask = ix.down[ix.index[sigma]] & seen
+        members = [ids[j] for j in _bits(mask)]
         try:
             sub = induced_subposet(poset, members, adjoin_top=True)
         except InvalidPoset as exc:
@@ -116,7 +117,7 @@ def shelling_steps(poset, order):
             raise ShellingInvalid(i, "intersection is not quasi-convex")
         qc = cd_index_quasiconvex(sub.poset)
         steps.append((sigma, qc.interior, qc.boundary))
-        seen |= down[poset._index[sigma]]
+        seen |= ix.down[ix.index[sigma]]
     return steps
 
 

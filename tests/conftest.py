@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from cdindex import poset as poset_mod
 from cdindex.poset import GradedPoset, induced_subposet, star
@@ -89,6 +90,86 @@ RP2_6 = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
     (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5),
 ]
+
+
+@st.composite
+def gorenstein_posets(draw):
+    """A random fan member under up to two pyramids and barycentric
+    subdivisions: face posets of regular CW spheres, so Gorenstein* and
+    Eulerian."""
+    sizes = {
+        "polygon": (3, 8),
+        "simplex_fan": (1, 4),
+        "cube_fan": (1, 3),
+        "crosspoly_fan": (1, 3),
+    }
+    kind = draw(st.sampled_from(sorted(sizes)))
+    p = poset_mod.build_family(kind, draw(st.integers(*sizes[kind])))
+    for step in draw(st.lists(st.sampled_from(["pyramid", "barycentric"]), max_size=2)):
+        # subdividing a poset of more than 60 elements could take one
+        # example past 0.1 s
+        if step == "barycentric" and len(p) <= 60:
+            p = poset_mod.barycentric(p).bposet
+        else:
+            p = poset_mod.build_pyramid(p)
+    return p
+
+
+def product_face_poset(*posets):
+    """Face poset of the product of the cell complexes whose face posets are
+    given: proper elements are tuples ordered componentwise, a product cell
+    has degree sum(deg) - (factors - 1), and a bottom and a top are adjoined.
+    Its order complex is the product of the factors' (Walker's theorem)."""
+    cells = {(): 0}  # tuples of proper elements, with their degree sums
+    for q in posets:
+        cells = {
+            c + (e,): total + q.degree(e)
+            for c, total in cells.items()
+            for e in q.proper_elements()
+        }
+    name = ",".join
+    degrees = {name(c): total - (len(posets) - 1) for c, total in cells.items()}
+    rank = max(degrees.values())
+    degrees |= {"_bot": 0, "_top": rank + 1}
+    covers = []
+    for c in cells:
+        if degrees[name(c)] == 1:
+            covers.append(("_bot", name(c)))
+        if degrees[name(c)] == rank:
+            covers.append((name(c), "_top"))
+        for i, q in enumerate(posets):
+            for lo in q.lower_covers(c[i]):
+                if lo != q.bottom:
+                    covers.append((name(c[:i] + (lo,) + c[i + 1 :]), name(c)))
+    return GradedPoset(rank, degrees, covers)
+
+
+def pinched_icosahedron():
+    """The icosahedron's boundary with one antipodal pair of vertices
+    identified: a pinched sphere, whose pinch vertex has two pentagons as
+    its link."""
+    # vertex 0 over the pentagon 1..5, vertex 11 under the pentagon 6..10;
+    # 11 becomes 0
+    top = [(0, i, i % 5 + 1) for i in range(1, 6)]
+    band = [(i, i % 5 + 1, i + 5) for i in range(1, 6)]
+    band += [(i % 5 + 1, i + 5, i % 5 + 6) for i in range(1, 6)]
+    bottom = [(0, i + 5, i % 5 + 6) for i in range(1, 6)]
+    return face_poset(top + band + bottom)
+
+
+def manifold_controls():
+    """Closed manifolds whose proper intervals are all spheres, with the
+    reduced Betti numbers of the whole (from dimension -1)."""
+    c4, s2 = poset_mod.polygon(4), poset_mod.simplex_fan(3)
+    return {
+        "cubical 3-torus": (product_face_poset(c4, c4, c4), [0, 0, 3, 3, 1]),
+        "S2 x S2": (product_face_poset(s2, s2), [0, 0, 0, 2, 0, 1]),
+        "S1 x S3": (
+            product_face_poset(poset_mod.polygon(3), poset_mod.simplex_fan(4)),
+            [0, 0, 1, 0, 1, 1],
+        ),
+        "pinched icosahedron": (pinched_icosahedron(), [0, 0, 1, 1]),
+    }
 
 
 @pytest.fixture

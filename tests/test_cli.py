@@ -205,6 +205,20 @@ def test_max_elements_cap(tmp_path, capsys, monkeypatch):
     assert code == 2 and "cap" in err
 
 
+def test_max_rank_cap(tmp_path, capsys, monkeypatch):
+    # flag counts would visit 2^26 degree sets
+    path = gen(tmp_path, capsys, "chain", "26")
+    code, out, err = run(capsys, "compute", "--input", path)
+    assert code == 2 and out == ""
+    assert "rank 26, over the cap 16" in err and "CDINDEX_MAX_RANK" in err
+    monkeypatch.setenv("CDINDEX_MAX_RANK", "many")
+    code, _, err = run(capsys, "compute", "--input", path)
+    assert code == 2 and "bad CDINDEX_MAX_RANK value 'many'" in err
+    monkeypatch.setenv("CDINDEX_MAX_RANK", "26")
+    code, out, _ = run(capsys, "check", "--input", path, "--what", "eulerian")
+    assert code == 1 and json.loads(out) == {"eulerian": False}
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = gen(tmp_path, capsys, "cube_fan", "3")
     text_a = open(a).read()

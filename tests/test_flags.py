@@ -17,7 +17,6 @@ from cdindex.flags import (
 from cdindex.operators import cd_index_operator
 from cdindex.poset import (
     barycentric,
-    build_family,
     build_pyramid,
     chain,
     cube_fan,
@@ -26,7 +25,7 @@ from cdindex.poset import (
 )
 from cdindex.recursion import cd_index_stanley
 
-from conftest import random_graded_poset
+from conftest import gorenstein_posets, random_graded_poset
 
 
 def brute_force_flag_f(p):
@@ -238,29 +237,6 @@ def test_each_eulerian_gate_misses_a_non_eulerian_poset():
     assert cd_index_stanley(q) == CdPolynomial({"c": 2})
     with pytest.raises(NotACdPolynomial):
         cd_index_flag(q)
-
-
-@st.composite
-def gorenstein_posets(draw):
-    """A random fan member under up to two pyramids and barycentric
-    subdivisions: face posets of regular CW spheres, so Gorenstein* and
-    Eulerian."""
-    sizes = {
-        "polygon": (3, 8),
-        "simplex_fan": (1, 4),
-        "cube_fan": (1, 3),
-        "crosspoly_fan": (1, 3),
-    }
-    kind = draw(st.sampled_from(sorted(sizes)))
-    p = build_family(kind, draw(st.integers(*sizes[kind])))
-    for step in draw(st.lists(st.sampled_from(["pyramid", "barycentric"]), max_size=2)):
-        # subdividing a poset of more than 60 elements could take one
-        # example past 0.1 s
-        if step == "barycentric" and len(p) <= 60:
-            p = barycentric(p).bposet
-        else:
-            p = build_pyramid(p)
-    return p
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -1,11 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdindex import kernel
 from cdindex.homology import (
     GorensteinCertificate,
     HomologyProfile,
     SimplicialComplex,
+    _certify_by_faces,
+    _intervals_are_spheres,
+    _top_cycle,
     boundary_of,
     is_gorenstein_star,
     is_quasi_convex,
@@ -14,7 +20,10 @@ from cdindex.homology import (
     reduced_homology,
 )
 from cdindex.poset import (
+    GradedPoset,
+    _bits,
     barycentric,
+    build_family,
     build_pyramid,
     chain,
     crosspoly_fan,
@@ -29,7 +38,10 @@ from conftest import (
     RP2_6,
     TORUS_7,
     face_poset,
+    gorenstein_posets,
+    manifold_controls,
     polygon_minus_facet,
+    product_face_poset,
     pyramid_without_apex_star,
     random_graded_poset,
     relabeled,
@@ -333,3 +345,180 @@ def test_is_quasi_convex():
 
     ray = induced_subposet(polygon(3), ["_bot", "r1"], adjoin_top=True).poset
     assert is_quasi_convex(ray)
+
+
+# -- the per-pair route, kept as the oracle for _intervals_are_spheres --------
+
+
+def _intervals_are_spheres_per_pair(poset):
+    """True when every open interval (x, y) is a rational homology sphere of
+    dimension deg y - deg x - 2; False at the first interval that is not, or
+    whose top cycle cannot be found by sign propagation."""
+    ix = poset.index_data()
+    down, up, deg = ix.down, ix.up, ix.deg
+    cov_down = poset._cov_down
+    # element indices are sorted by degree: reversed order visits bases in
+    # decreasing degree, and _bits yields the elements above one increasingly
+    for x in reversed(range(len(deg))):
+        # boundary[z] maps the cells of [x, z) one dimension below z to +-1
+        boundary = {}
+        for y in _bits(up[x] & ~(1 << x)):
+            d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
+            if d < 0:
+                boundary[y] = {x: 1}
+                continue
+            cells = up[x] & down[y]
+            facets = [c for c in cov_down[y] if cells >> c & 1]
+            top = _top_cycle(facets, boundary)
+            if top is None:
+                return False
+            if d >= 1 and not _acyclic_below_top_all_ranks(
+                cells, deg[x], d, deg, boundary
+            ):
+                return False
+            boundary[y] = top
+    return True
+
+
+def _acyclic_below_top_all_ranks(cells, base_deg, d, deg, boundary):
+    """Whether the cellular complex of [x, y) has no reduced homology in
+    dimensions 0 .. d-1, given that its top boundary has a one-dimensional
+    kernel; ``cells`` is the mask of [x, y], and deg x is ``base_deg``.
+
+    With r_k the rank of the boundary from dimension k to k-1, Betti number
+    k is |C_k| - r_k - r_(k+1).  r_0 = 1 (every vertex bounds the (-1)-cell)
+    and r_d = |C_d| - 1 are known; kernel.sparse_rank gives the others.
+    """
+    levels = [[] for _ in range(d + 1)]
+    for z in _bits(cells):
+        k = deg[z] - base_deg - 1
+        if 0 <= k <= d:
+            levels[k].append(z)
+    ranks = [1]
+    for k in range(1, d):
+        entries = [(w, z, a) for z in levels[k] for w, a in boundary[z].items()]
+        ranks.append(kernel.sparse_rank(entries))
+    ranks.append(len(levels[d]) - 1)
+    return all(len(levels[k]) == ranks[k] + ranks[k + 1] for k in range(d))
+
+
+@st.composite
+def pure_complex_posets(draw):
+    """Face poset of a random pure simplicial complex on at most 7 vertices:
+    random facets, or the mod-2 sum of the boundaries of a few random
+    simplices, where every ridge lies in an even number of facets (spheres,
+    wedges of spheres and other pinched cycles)."""
+    n = draw(st.integers(3, 7))
+    size = draw(st.integers(2, min(4, n - 1)))
+    if draw(st.booleans()):
+        candidates = list(itertools.combinations(range(n), size))
+        facets = draw(
+            st.lists(st.sampled_from(candidates), min_size=1, max_size=16, unique=True)
+        )
+    else:
+        candidates = list(itertools.combinations(range(n), size + 1))
+        simplices = draw(
+            st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True)
+        )
+        facets = set()
+        for simplex in simplices:
+            facets ^= set(itertools.combinations(simplex, size))
+        facets = facets or {simplices[0][:size]}
+    return face_poset(facets)
+
+
+@st.composite
+def product_posets(draw):
+    """Face poset of the product of two small fan members or random graded
+    posets of rank <= 2.  Products of spheres are closed manifolds whose
+    proper intervals are all spheres, so only the checks after the global
+    signing can reject them."""
+    factor = st.one_of(
+        st.tuples(
+            st.sampled_from(["polygon", "simplex_fan", "cube_fan", "crosspoly_fan"]),
+            st.integers(1, 3),
+        ).map(lambda kp: build_family(kp[0], kp[1] + 2 * (kp[0] == "polygon"))),
+        st.randoms(use_true_random=False).map(
+            lambda rnd: random_graded_poset(rnd, max_rank=2, max_width=3)
+        ),
+    )
+    return product_face_poset(draw(factor), draw(factor))
+
+
+@st.composite
+def pinched_posets(draw):
+    """A random sphere's face poset (gorenstein_posets) with two vertices
+    that share no face merged into one: the lower intervals keep their
+    shape, and the merged vertex's upper interval falls into two pieces."""
+    p = draw(gorenstein_posets())
+    ix = p.index_data()
+    ids = p.elements()
+    pairs = [
+        (ids[a], ids[b])
+        for a, b in itertools.combinations(_bits(ix.layers[1]), 2)
+        if (ix.up[a] & ix.up[b]).bit_count() == 1
+    ]
+    if not pairs:
+        return p
+    keep, drop = draw(st.sampled_from(pairs))
+    rename = lambda e: keep if e == drop else e
+    degrees = {e: p.degree(e) for e in ids if e != drop}
+    covers = sorted({(rename(lo), rename(hi)) for lo, hi in p.covers()})
+    return GradedPoset(p.rank, degrees, covers)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        st.randoms(use_true_random=False).map(
+            lambda rnd: random_graded_poset(rnd, max_rank=5, max_width=4)
+        ),
+        pure_complex_posets(),
+        gorenstein_posets(),
+        product_posets(),
+        pinched_posets(),
+    )
+)
+def test_intervals_are_spheres_matches_per_pair_oracle(p):
+    assert _intervals_are_spheres(p) == _intervals_are_spheres_per_pair(p)
+
+
+# the check of the fast route that rejects each control first: the pinch
+# vertex's link (two pentagons) fails connectivity; the 3-torus fails the
+# rank r_2 (b_1 = 3), and S2 x S2 the Euler characteristic (b_2 = 2)
+FIRST_REJECTION = {
+    "cubical 3-torus": "betti",
+    "S2 x S2": "betti",
+    "S1 x S3": "betti",
+    "pinched icosahedron": "connectivity",
+}
+
+
+@pytest.mark.parametrize("name", sorted(manifold_controls()))
+def test_manifold_controls_are_rejected(name, monkeypatch):
+    # closed manifolds whose proper intervals are all spheres, and a pinched
+    # sphere: each passes the global signing
+    import cdindex.homology as homology
+
+    p, betti = manifold_controls()[name]
+    rejections = []
+
+    def spy(check, func):
+        def wrapped(*args):
+            ok = func(*args)
+            if not ok:
+                rejections.append(check)
+            return ok
+
+        return wrapped
+
+    monkeypatch.setattr(homology, "_connected", spy("connectivity", homology._connected))
+    monkeypatch.setattr(
+        homology, "_acyclic_below_top", spy("betti", homology._acyclic_below_top)
+    )
+    assert not _intervals_are_spheres(p)
+    assert rejections == [FIRST_REJECTION[name]]
+    assert not _intervals_are_spheres_per_pair(p)
+    cert = is_gorenstein_star(p).to_json()
+    assert cert == {"gorenstein_star": False, "failing_face": [], "betti": betti}
+    assert cert == _certify_by_faces(p).to_json()

@@ -119,6 +119,17 @@ def test_index_data_matches_covers(rng):
         ids = p.elements()
         assert ix is p.index_data()
         assert ix.deg == tuple(p.degree(e) for e in ids)
+        assert ix.index == {e: i for i, e in enumerate(ids)}
+        pairs = [(i, j) for j in range(len(ids)) for i in ix.cov_down[j]]
+        up_pairs = [(i, j) for i in range(len(ids)) for j in ix.cov_up[i]]
+        assert sorted(pairs) == sorted(up_pairs)
+        assert sorted((ids[i], ids[j]) for i, j in pairs) == p.covers()
+        assert all(list(c) == sorted(c) for c in ix.cov_down + ix.cov_up)
+        # j covers i iff the closed interval [i, j] has two elements
+        for i in range(len(ids)):
+            above = pm._bits(ix.up[i])
+            covering = [j for j in above if (ix.up[i] & ix.down[j]).bit_count() == 2]
+            assert list(ix.cov_up[i]) == covering
         for d in range(p.rank + 2):
             layer = [ids[i] for i in pm._bits(ix.layers[d])]
             assert layer == list(p.elements_of_degree(d))
