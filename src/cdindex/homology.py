@@ -48,13 +48,22 @@ checks remain:
   duality over Q (J. R. Munkres, "Elements of Algebraic Topology", 1984),
   b_k = b_(d-k);
 - ranks: so b_1 .. b_m with m = (d-1) // 2 settle every b_k, 0 < k < d,
-  except the middle one for even d.  Connectivity gives r_1 = |C_0| - 1,
-  and kernel.sparse_rank gives r_2 .. r_(m+1): (d-1) // 2 rank calls per
-  interval, none for d <= 2;
+  except the middle one for even d.  Connectivity gives r_1 = |C_0| - 1
+  over any field, and r_2 .. r_(m+1) are (d-1) // 2 ranks per interval,
+  none for d <= 2.  They are taken first over GF(2), by kernel.rank_mod2:
+  every entry of eps is +-1, so the row of z is its lower-cover mask cut
+  to the cells, with no signs.  That is sound because a matrix's rank over
+  GF(2) is at most its rank over Q, while the restricted eps is an integer
+  chain complex, so b_k = |C_k| - r_k - r_(k+1) >= 0 with the rational
+  ranks; when |C_k| = r_k + r_(k+1) holds for k = 1 .. m with the GF(2)
+  ranks, it holds with the rational ones.  An interval that GF(2) leaves
+  open, by 2-torsion (RP^3) or by a real failure, is checked again with the
+  exact rational ranks of the signed matrices from kernel.sparse_rank;
 - Euler characteristic: for even d, the alternating cell count
   sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.
-Arithmetic is in integers only, and matrix sides are element counts, not
-chain counts.
+So the signs of eps serve the orientability argument and the exact
+fallback; a passing interval needs only cover masks.  Arithmetic is in
+integers only, and matrix sides are element counts, not chain counts.
 
 Why the cellular complex computes the homology of Delta(x, y).  Filter the
 order complex by the degree of a chain's largest element.  The layer for z
@@ -346,7 +355,7 @@ def _intervals_are_spheres(poset):
             atoms = cells & layers[deg[x] + 1]
             if not _connected(atoms, cells & layers[deg[y] - 1], up, down):
                 return False
-            if not _acyclic_below_top(cells, deg[x], d, layers, eps):
+            if not _acyclic_below_top(cells, deg[x], d, layers, down, eps):
                 return False
     return True
 
@@ -403,7 +412,7 @@ def _connected(atoms, coatoms, up, down):
     return seen_a == atoms
 
 
-def _acyclic_below_top(cells, base_deg, d, layers, eps):
+def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     """Whether the cellular complex of [x, y) has no reduced homology in
     dimensions 0 .. d-1, given that Delta(x, y) is a connected, orientable
     closed homology d-manifold; ``cells`` is the mask of [x, y], deg x is
@@ -413,24 +422,47 @@ def _acyclic_below_top(cells, base_deg, d, layers, eps):
     With r_k the rank of the boundary from dimension k to k-1, Betti number
     k is |C_k| - r_k - r_(k+1).  Connectedness gives r_1 = |C_0| - 1 and
     Poincare duality b_k = b_(d-k), so only b_1 .. b_m with m = (d-1) // 2
-    are computed, from r_2 .. r_(m+1) by kernel.sparse_rank; for even d the
-    middle Betti number vanishes when the Euler characteristic is 2.
+    are computed, from r_2 .. r_(m+1); for even d the middle Betti number
+    vanishes when the Euler characteristic is 2.
+
+    The ranks are first taken over GF(2), where the row of z is its
+    lower-cover mask ``down[z]`` cut to the level below, since every entry of
+    eps is +-1.  A GF(2) rank is at most the rational one, and the restricted
+    eps is an integer chain complex, so b_k >= 0 over Q; when the GF(2)
+    ranks already give |C_k| = r_k + r_(k+1) for k = 1 .. m, the rational
+    ranks do too.  Only an interval that GF(2) leaves open (2-torsion, as in
+    RP^3, or a real failure) takes the exact ranks of the signed matrices
+    from kernel.sparse_rank; the signs of eps serve only that fallback and
+    the orientability argument.
     """
-    sizes = [(cells & layers[base_deg + 1 + k]).bit_count() for k in range(d + 1)]
-    m = (d - 1) // 2
-    ranks = [1, sizes[0] - 1]
-    for k in range(2, m + 2):
-        level = cells & layers[base_deg + 1 + k]
-        entries = [
+    levels = [cells & layers[base_deg + 1 + k] for k in range(d + 1)]
+    sizes = [level.bit_count() for level in levels]
+    if d % 2 == 0 and sum(sizes[::2]) - sum(sizes[1::2]) != 2:
+        return False
+    ks = range(2, (d - 1) // 2 + 2)
+    mod2 = [
+        kernel.rank_mod2([down[z] & levels[k - 1] for z in _bits(levels[k])])
+        for k in ks
+    ]
+    if _lower_betti_vanish(sizes, mod2):
+        return True
+    exact = [
+        kernel.sparse_rank([
             (w, z, a)
-            for z in _bits(level)
+            for z in _bits(levels[k])
             for w, a in eps[z].items()
             if cells >> w & 1
-        ]
-        ranks.append(kernel.sparse_rank(entries))
-    if any(sizes[k] != ranks[k] + ranks[k + 1] for k in range(1, m + 1)):
-        return False
-    return d % 2 == 1 or sum(sizes[::2]) - sum(sizes[1::2]) == 2
+        ])
+        for k in ks
+    ]
+    return _lower_betti_vanish(sizes, exact)
+
+
+def _lower_betti_vanish(sizes, ranks):
+    """Whether |C_k| = r_k + r_(k+1) for k = 1 .. m, where ``sizes`` holds
+    the |C_k|, ``ranks`` holds r_2 .. r_(m+1) and r_1 = |C_0| - 1."""
+    ranks = [sizes[0] - 1] + ranks
+    return all(sizes[k] == ranks[k - 1] + ranks[k] for k in range(1, len(ranks)))
 
 
 def _certify_by_faces(poset):

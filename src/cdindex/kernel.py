@@ -1,4 +1,4 @@
-"""Exact rank of sparse integer matrices.
+"""Exact rank of sparse integer matrices, and rank over GF(2) of 0/1 rows.
 
 One elimination over the rationals with integer bookkeeping, in Python
 integers of unbounded size: each update is row <- a*row - b*pivot_row with
@@ -6,6 +6,11 @@ a, b integers and a != 0, rows are kept primitive by content division, so
 ranks are exact.  Pivots favour columns of low fill and unit entries (rows
 with a single entry eliminate for free, which lets sphere-like boundary
 matrices cascade away cheaply).
+
+rank_mod2 takes each row as a Python int whose set bits are the columns of
+its 1 entries, and eliminates by XOR.  The rank of an integer matrix over
+GF(2) is at most its rank over the rationals (an odd minor is nonzero), so
+rank_mod2 of the entries taken mod 2 is a lower bound on sparse_rank.
 """
 
 from __future__ import annotations
@@ -101,3 +106,17 @@ def sparse_rank(entries):
                 else:
                     del cols[cc]
     return rank
+
+
+def rank_mod2(rows):
+    """Rank over GF(2) of the 0/1 matrix whose rows are the bit masks ``rows``."""
+    basis = {}  # leading bit -> the one basis row with that leading bit
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    return len(basis)

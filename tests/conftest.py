@@ -157,6 +157,19 @@ def pinched_icosahedron():
     return face_poset(top + band + bottom)
 
 
+def antipodal_quotient(p):
+    """crosspoly_fan(n) with each face identified with its negative (signs
+    swapped): the face poset of a regular CW structure on RP^(n-1), since no
+    face holds two antipodal vertices.  Every proper interval is a boolean
+    lattice or a cross-polytope's upper interval, so only the whole can
+    fail; RP^(n-1) is a rational homology sphere for even n."""
+    swap = str.maketrans("+-", "-+")
+    name = lambda e: min(e, e.translate(swap))
+    degrees = {name(e): p.degree(e) for e in p.elements()}
+    covers = sorted({(name(lo), name(hi)) for lo, hi in p.covers()})
+    return GradedPoset(p.rank, degrees, covers)
+
+
 def manifold_controls():
     """Closed manifolds whose proper intervals are all spheres, with the
     reduced Betti numbers of the whole (from dimension -1)."""

@@ -1,14 +1,17 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdindex import kernel
+from cdindex.flags import cd_index_flag
 from cdindex.homology import (
     GorensteinCertificate,
     HomologyProfile,
     SimplicialComplex,
+    _acyclic_below_top,
     _certify_by_faces,
     _intervals_are_spheres,
     _top_cycle,
@@ -33,10 +36,13 @@ from cdindex.poset import (
     polygon,
     simplex_fan,
 )
+from cdindex.operators import cd_index_operator
+from cdindex.recursion import cd_index_stanley
 
 from conftest import (
     RP2_6,
     TORUS_7,
+    antipodal_quotient,
     face_poset,
     gorenstein_posets,
     manifold_controls,
@@ -467,20 +473,85 @@ def pinched_posets(draw):
     return GradedPoset(p.rank, degrees, covers)
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(
-    st.one_of(
-        st.randoms(use_true_random=False).map(
-            lambda rnd: random_graded_poset(rnd, max_rank=5, max_width=4)
-        ),
-        pure_complex_posets(),
-        gorenstein_posets(),
-        product_posets(),
-        pinched_posets(),
-    )
+ORACLE_INPUTS = st.one_of(
+    st.randoms(use_true_random=False).map(
+        lambda rnd: random_graded_poset(rnd, max_rank=5, max_width=4)
+    ),
+    pure_complex_posets(),
+    gorenstein_posets(),
+    product_posets(),
+    pinched_posets(),
 )
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(ORACLE_INPUTS)
 def test_intervals_are_spheres_matches_per_pair_oracle(p):
     assert _intervals_are_spheres(p) == _intervals_are_spheres_per_pair(p)
+
+
+def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
+    """The test of _acyclic_below_top with every rank from ``rank`` on the
+    signed entries: kernel.sparse_rank gives the exact test, the oracle, and
+    _entries_rank_mod2 the GF(2) test alone."""
+    sizes = [(cells & layers[base_deg + 1 + k]).bit_count() for k in range(d + 1)]
+    m = (d - 1) // 2
+    ranks = [1, sizes[0] - 1]
+    for k in range(2, m + 2):
+        level = cells & layers[base_deg + 1 + k]
+        entries = [
+            (w, z, a)
+            for z in _bits(level)
+            for w, a in eps[z].items()
+            if cells >> w & 1
+        ]
+        ranks.append(rank(entries))
+    if any(sizes[k] != ranks[k] + ranks[k + 1] for k in range(1, m + 1)):
+        return False
+    return d % 2 == 1 or sum(sizes[::2]) - sum(sizes[1::2]) == 2
+
+
+def _entries_rank_mod2(entries):
+    """Rank over GF(2) of the (row, col, +-1) entries."""
+    rows = {}
+    for w, z, _ in entries:
+        rows[z] = rows.get(z, 0) ^ 1 << w
+    return kernel.rank_mod2(rows.values())
+
+
+@st.composite
+def antipodal_posets(draw):
+    """RP^(n-1) as antipodal_quotient(crosspoly_fan(n)), maybe under a
+    pyramid, so that a lower interval carries the 2-torsion."""
+    p = antipodal_quotient(crosspoly_fan(draw(st.integers(2, 4))))
+    return build_pyramid(p) if draw(st.booleans()) else p
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.one_of(ORACLE_INPUTS, antipodal_posets()))
+def test_mod2_acceptance_implies_exact_acceptance(p):
+    # every interval the fast route checks: the GF(2) test alone accepts only
+    # what the exact test accepts, and the fast route's verdict is the exact
+    # one
+    seen = []
+
+    def checked(cells, base_deg, d, layers, down, eps):
+        got = _acyclic_below_top(cells, base_deg, d, layers, down, eps)
+        args = (cells, base_deg, d, layers, eps)
+        seen.append(
+            (
+                _acyclic_below_top_exact(*args, _entries_rank_mod2),
+                _acyclic_below_top_exact(*args, kernel.sparse_rank),
+                got,
+            )
+        )
+        return got
+
+    with mock.patch("cdindex.homology._acyclic_below_top", checked):
+        _intervals_are_spheres(p)
+    for mod2, exact, got in seen:
+        assert got == exact
+        assert exact or not mod2
 
 
 # the check of the fast route that rejects each control first: the pinch
@@ -521,4 +592,62 @@ def test_manifold_controls_are_rejected(name, monkeypatch):
     assert not _intervals_are_spheres_per_pair(p)
     cert = is_gorenstein_star(p).to_json()
     assert cert == {"gorenstein_star": False, "failing_face": [], "betti": betti}
+    assert cert == _certify_by_faces(p).to_json()
+
+
+def test_passing_spheres_need_no_exact_rank(monkeypatch):
+    rank, calls = kernel.sparse_rank, []
+
+    def counting(entries):
+        calls.append(entries)
+        return rank(entries)
+
+    monkeypatch.setattr(kernel, "sparse_rank", counting)
+    for p in [build_pyramid(simplex_fan(5)), simplex_fan(7), cube_fan(5),
+              crosspoly_fan(5)]:
+        assert is_gorenstein_star(p)
+    assert calls == []
+
+
+def test_rp3_certifies_through_the_exact_fallback(monkeypatch):
+    # RP^3 is a rational homology sphere with 2-torsion: the GF(2) ranks see
+    # b_1 = 1 on the whole, so that interval (d = 3, one rank) goes to the
+    # exact ranks, and no other does
+    import cdindex.homology as homology
+
+    rp3 = antipodal_quotient(crosspoly_fan(4))
+    assert len(rp3) == 42
+    rank, check = kernel.sparse_rank, homology._acyclic_below_top
+    calls, fallbacks = [], []
+
+    def counting(entries):
+        calls.append(entries)
+        return rank(entries)
+
+    def spy(*args):
+        before = len(calls)
+        ok = check(*args)
+        if len(calls) > before:
+            fallbacks.append((args[2], len(calls) - before))
+        return ok
+
+    monkeypatch.setattr(kernel, "sparse_rank", counting)
+    monkeypatch.setattr(homology, "_acyclic_below_top", spy)
+    cert = is_gorenstein_star(rp3).to_json()
+    assert fallbacks == [(3, 1)]
+    assert cert == {
+        "gorenstein_star": True, "failing_face": None, "betti": [0, 0, 0, 0, 1],
+    }
+    assert cert == _certify_by_faces(rp3).to_json()
+    expected = "c^4 + 6*c^2d + 8*cdc + 2*dc^2 + 12*dd"
+    for route in (cd_index_flag, cd_index_stanley, cd_index_operator):
+        assert str(route(rp3)) == expected
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_even_dimensional_projective_spaces_are_rejected(n):
+    # RP^2 and RP^4 have Euler characteristic 1: only the whole fails
+    p = antipodal_quotient(crosspoly_fan(n))
+    cert = is_gorenstein_star(p).to_json()
+    assert cert == {"gorenstein_star": False, "failing_face": [], "betti": []}
     assert cert == _certify_by_faces(p).to_json()

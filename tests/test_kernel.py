@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdindex import kernel
 
@@ -107,3 +109,58 @@ def test_big_int_products_during_elimination(rng):
                 entries.append((r, c, v))
         expected = dense_fraction_rank(entries, nrows, ncols)
         assert kernel.sparse_rank(entries) == expected
+
+
+def dense_rank_mod2(matrix):
+    """Textbook Gaussian elimination over GF(2) on 0/1 row lists, the
+    independent oracle for rank_mod2."""
+    m = [row[:] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def matrices(values):
+    """Random dense matrices of up to 12 x 12 with entries from ``values``."""
+    return st.integers(0, 12).flatmap(
+        lambda ncols: st.lists(
+            st.lists(st.sampled_from(values), min_size=ncols, max_size=ncols),
+            max_size=12,
+        )
+    )
+
+
+def row_masks(matrix):
+    """Each row as the bit mask of its odd entries."""
+    return [sum(1 << j for j, v in enumerate(row) if v % 2) for row in matrix]
+
+
+def test_rank_mod2_small():
+    assert kernel.rank_mod2([]) == 0
+    assert kernel.rank_mod2([0, 0]) == 0
+    assert kernel.rank_mod2([0b011, 0b110, 0b101]) == 2  # rows sum to zero
+    # [[1, 1], [1, -1]] has rank 2 over Q but 1 over GF(2)
+    entries = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)]
+    assert kernel.sparse_rank(entries) == 2
+    assert kernel.rank_mod2([0b11, 0b11]) == 1
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(matrices([0, 1]))
+def test_rank_mod2_matches_dense_oracle(matrix):
+    assert kernel.rank_mod2(row_masks(matrix)) == dense_rank_mod2(matrix)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(matrices([-1, 0, 0, 1]))
+def test_rank_mod2_bounds_rational_rank(matrix):
+    entries = [(r, c, v) for r, row in enumerate(matrix) for c, v in enumerate(row)]
+    assert kernel.rank_mod2(row_masks(matrix)) <= kernel.sparse_rank(entries)
