@@ -310,10 +310,10 @@ class SubsetPolynomial:
         return f"SubsetPolynomial(n={self.n}, {{{body}}})"
 
 
-def phi_word(w, offset=0):
-    """t-substitution of a single word as {subset: 1} over positions offset+1.."""
+def phi_word(w):
+    """t-substitution of a single word as {subset: 1} over positions 1.."""
     terms = {frozenset(): 1}
-    pos = offset
+    pos = 0
     for letter in w:
         out = {}
         if letter == "c":

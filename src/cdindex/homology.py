@@ -40,29 +40,31 @@ increasing degree, so when (x, y) is examined every (w, z) with w > x, and
 every (x, z) with z < y, is already certified.  Every link in Delta(x, y) is
 a join of such intervals, so for d = deg y - deg x - 2 >= 1, Delta(x, y) is
 a closed rational homology d-manifold.  The restricted eps[y] is a d-cycle
-that is nonzero on every facet, so every component is orientable.  Three
+that is nonzero on every facet, so every component is orientable.  Two
 checks remain:
-- connectivity: a search over the atoms and coatoms of [x, y], joined when
-  comparable, must reach every atom.  A connected, orientable, closed
-  homology d-manifold has b_0 = 0 (reduced), b_d = 1 and, by Poincare
+- ranks: with r_k the rank of the boundary from dimension k to k-1, the
+  reduced Betti number b_k is |C_k| - r_k - r_(k+1), and r_0 = 1.  The
+  rank r_1 makes b_0 = 0, so Delta(x, y) is connected; a connected,
+  orientable, closed homology d-manifold has b_d = 1 and, by Poincare
   duality over Q (J. R. Munkres, "Elements of Algebraic Topology", 1984),
-  b_k = b_(d-k);
-- ranks: so b_1 .. b_m with m = (d-1) // 2 settle every b_k, 0 < k < d,
-  except the middle one for even d.  Connectivity gives r_1 = |C_0| - 1
-  over any field, and r_2 .. r_(m+1) are (d-1) // 2 ranks per interval,
-  none for d <= 2.  They are taken first over GF(2), by kernel.rank_mod2:
-  every entry of eps is +-1, so the row of z is its lower-cover mask cut
-  to the cells, with no signs.  That is sound because a matrix's rank over
-  GF(2) is at most its rank over Q, while the restricted eps is an integer
-  chain complex, so b_k = |C_k| - r_k - r_(k+1) >= 0 with the rational
-  ranks; when |C_k| = r_k + r_(k+1) holds for k = 1 .. m with the GF(2)
-  ranks, it holds with the rational ones.  An interval that GF(2) leaves
-  open, by 2-torsion (RP^3) or by a real failure, is checked again with the
-  exact rational ranks of the signed matrices from kernel.sparse_rank;
+  b_k = b_(d-k).  So b_0 .. b_m with m = (d-1) // 2, from r_1 .. r_(m+1),
+  settle every b_k, 0 <= k < d, except the middle one for even d.  The
+  ranks are taken over GF(2), by kernel.rank_mod2: every entry of eps is
+  +-1, so the row of z is its lower-cover mask cut to the cells, with no
+  signs.  r_1 is exact there, since a 1-cell has two vertices (the
+  signing), so its boundary is the incidence matrix of a graph, of rank
+  |C_0| minus the number of components over any field.  The others are
+  sound because a matrix's rank over GF(2) is at most its rank over Q,
+  while the restricted eps is an integer chain complex, so b_k = |C_k| -
+  r_k - r_(k+1) >= 0 with the rational ranks; when |C_k| = r_k + r_(k+1)
+  holds for k = 0 .. m with the GF(2) ranks, it holds with the rational
+  ones.  An interval that GF(2) leaves open, by 2-torsion (RP^3) or by a
+  real failure, is checked again by its exact homology: _cellular_homology
+  takes every rank of the signed matrices from kernel.sparse_rank;
 - Euler characteristic: for even d, the alternating cell count
   sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.
 So the signs of eps serve the orientability argument and the exact
-fallback; a passing interval needs only cover masks.  Arithmetic is in
+homology; a passing interval needs only cover masks.  Arithmetic is in
 integers only, and matrix sides are element counts, not chain counts.
 
 Why the cellular complex computes the homology of Delta(x, y).  Filter the
@@ -83,12 +85,21 @@ too: nothing needs the cells to be topological balls.
 The construction is the one for CW posets in A. Bjorner, "Posets, regular
 CW complexes and Bruhat order", Europ. J. Combin. 5 (1984).
 
-When an interval fails, or a sign cannot be propagated, the certificate
-comes from the face search, _certify_by_faces: faces in (dimension,
-vertex-id) order, link homology assembled from memoized open-interval
-homology by join convolution.  It reports the first failing face and its
-Betti numbers, and it remains the test oracle for the interval route, as
-reduced_homology + link are for it.
+Failing certificates.  The certificate of a failure names the first face,
+in the order of dimension and then sorted vertex ids, whose link misses the
+sphere profile.  The link of a face is the join of the gaps (a, b) that the
+face cuts out of [bottom, top], so its profile is the convolution of theirs.
+A convolution of non-negative vectors is a single 1 only when every factor
+is, and a gap's homology cannot sit above the gap's own dimension, so a face
+fails exactly when one of its gaps (a, b) fails.  The face of a and b alone,
+without the bottom and the top, then fails too, and it is no longer.  So
+the first failing face has at most two elements, and _certify_by_gaps walks
+only (), each {x} and each comparable {x, y}.  The homology of a gap (x, y)
+is that of its cellular complex, from every exact rank, when every (x, z),
+z < y, is a sphere with a top cycle eps[z] (the filtration argument above),
+and that of its order complex otherwise; gaps are memoized.  The face
+search over every chain of the order complex is the test oracle, in
+tests/conftest.py, as reduced_homology + link are for it.
 """
 
 from __future__ import annotations
@@ -97,7 +108,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernel
-from .poset import _bits, _chains, induced_subposet
+from .poset import _bits, induced_subposet
 
 
 class SimplicialComplex:
@@ -319,45 +330,55 @@ def is_gorenstein_star(poset):
     Checks that every open interval (x, y), x < y, is a rational homology
     sphere of dimension deg y - deg x - 2, by cellular chain complexes (see
     the module docstring); the certificate of a pass holds the homology of
-    S^(rank-1).  When an interval fails, the face search supplies the
-    certificate: the first face (ordered by dimension, then by sorted vertex
-    ids) whose link misses the sphere profile, and that link's homology.
+    S^(rank-1).  When an interval fails, the certificate names the first
+    face (ordered by dimension, then by sorted vertex ids) whose link misses
+    the sphere profile, and that link's homology.
     """
     if _intervals_are_spheres(poset):
         return GorensteinCertificate(
             True, None, HomologyProfile.sphere(poset.rank - 1)
         )
-    return _certify_by_faces(poset)
+    return _certify_by_gaps(poset)
 
 
 def _intervals_are_spheres(poset):
     """True when every open interval (x, y) is a rational homology sphere of
     dimension deg y - deg x - 2; False at the first interval that is not, or
-    at the first element y whose lower interval (bottom, y) has no +-1 top
-    cycle (see the module docstring)."""
+    when some element y has no +-1 top cycle of (bottom, y) (see the module
+    docstring)."""
     ix = poset.index_data()
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
-    # eps[y] maps the lower covers of y to +-1: a top cycle of (bottom, y),
-    # found by sign propagation; element 0 is the bottom
-    eps = [None] * len(deg)
-    for y in range(1, len(deg)):
-        eps[y] = {0: 1} if deg[y] == 1 else _top_cycle(ix.cov_down[y], eps)
-        if eps[y] is None:
-            return False
+    eps = _sign_covers(ix)
+    if None in eps:
+        return False
     # reversed index order visits bases in decreasing degree, and _bits yields
     # the elements above one increasingly
     for x in reversed(range(len(deg))):
         for y in _bits(up[x]):
             d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
-            if d < 1:
-                continue  # S^-1 and, by the signing, S^0 hold already
-            cells = up[x] & down[y]
-            atoms = cells & layers[deg[x] + 1]
-            if not _connected(atoms, cells & layers[deg[y] - 1], up, down):
-                return False
-            if not _acyclic_below_top(cells, deg[x], d, layers, down, eps):
+            # for d < 1, S^-1 and, by the signing, S^0 hold already
+            if d >= 1 and not _acyclic_below_top(
+                up[x] & down[y], deg[x], d, layers, down, eps
+            ):
                 return False
     return True
+
+
+def _sign_covers(ix):
+    """eps[y] maps the lower covers of y to +-1: a top cycle of (bottom, y),
+    found by sign propagation in increasing index order.  The bottom (index
+    0) has the empty boundary and an atom has {bottom: 1}; eps[y] is None
+    where propagation fails, at y or below it."""
+    eps = [{}]
+    for y in range(1, len(ix.deg)):
+        covers = ix.cov_down[y]
+        if ix.deg[y] == 1:
+            eps.append({0: 1})
+        elif any(eps[c] is None for c in covers):
+            eps.append(None)
+        else:
+            eps.append(_top_cycle(covers, eps))
+    return eps
 
 
 def _top_cycle(facets, boundary):
@@ -392,113 +413,111 @@ def _top_cycle(facets, boundary):
     return sign if len(sign) == len(facets) else None
 
 
-def _connected(atoms, coatoms, up, down):
-    """Whether the atoms and coatoms of an interval, joined when comparable,
-    form one component; the interval's order complex is then connected,
-    since every element lies above an atom and below a coatom."""
-    seen_a = todo = atoms & -atoms
-    seen_c = 0
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new_c = up[low.bit_length() - 1] & coatoms & ~seen_c
-        seen_c |= new_c
-        while new_c:
-            low = new_c & -new_c
-            new_c ^= low
-            new_a = down[low.bit_length() - 1] & atoms & ~seen_a
-            seen_a |= new_a
-            todo |= new_a
-    return seen_a == atoms
-
-
 def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     """Whether the cellular complex of [x, y) has no reduced homology in
-    dimensions 0 .. d-1, given that Delta(x, y) is a connected, orientable
-    closed homology d-manifold; ``cells`` is the mask of [x, y], deg x is
+    dimensions 0 .. d-1, given that Delta(x, y) is an orientable closed
+    homology d-manifold; ``cells`` is the mask of [x, y], deg x is
     ``base_deg`` and the boundary of a cell z is ``eps[z]`` restricted to
     ``cells``.
 
     With r_k the rank of the boundary from dimension k to k-1, Betti number
-    k is |C_k| - r_k - r_(k+1).  Connectedness gives r_1 = |C_0| - 1 and
-    Poincare duality b_k = b_(d-k), so only b_1 .. b_m with m = (d-1) // 2
-    are computed, from r_2 .. r_(m+1); for even d the middle Betti number
-    vanishes when the Euler characteristic is 2.
+    k is |C_k| - r_k - r_(k+1), and r_0 = 1.  b_0 = 0 makes Delta(x, y)
+    connected, so Poincare duality gives b_k = b_(d-k) and only b_0 .. b_m
+    with m = (d-1) // 2 are computed, from r_1 .. r_(m+1); for even d the
+    middle Betti number vanishes when the Euler characteristic is 2.
 
-    The ranks are first taken over GF(2), where the row of z is its
-    lower-cover mask ``down[z]`` cut to the level below, since every entry of
-    eps is +-1.  A GF(2) rank is at most the rational one, and the restricted
-    eps is an integer chain complex, so b_k >= 0 over Q; when the GF(2)
-    ranks already give |C_k| = r_k + r_(k+1) for k = 1 .. m, the rational
-    ranks do too.  Only an interval that GF(2) leaves open (2-torsion, as in
-    RP^3, or a real failure) takes the exact ranks of the signed matrices
-    from kernel.sparse_rank; the signs of eps serve only that fallback and
-    the orientability argument.
+    The ranks are taken over GF(2), where the row of z is its lower-cover
+    mask ``down[z]`` cut to the level below, since every entry of eps is
+    +-1.  r_1 is exact there: a 1-cell has two vertices, so its boundary
+    is a graph's incidence matrix, of rank |C_0| minus the number of
+    components over any field.  Any GF(2) rank is at most the rational one,
+    and the restricted eps is an integer chain complex, so b_k >= 0 over Q;
+    when the GF(2) ranks already give |C_k| = r_k + r_(k+1) for k = 0 .. m,
+    the rational ranks do too.  Only an interval that GF(2) leaves open
+    (2-torsion, as in RP^3, or a real failure) takes its exact homology
+    from _cellular_homology.
     """
     levels = [cells & layers[base_deg + 1 + k] for k in range(d + 1)]
     sizes = [level.bit_count() for level in levels]
     if d % 2 == 0 and sum(sizes[::2]) - sum(sizes[1::2]) != 2:
         return False
-    ks = range(2, (d - 1) // 2 + 2)
-    mod2 = [
+    ranks = [1] + [
         kernel.rank_mod2([down[z] & levels[k - 1] for z in _bits(levels[k])])
-        for k in ks
+        for k in range(1, (d - 1) // 2 + 2)
     ]
-    if _lower_betti_vanish(sizes, mod2):
+    if all(sizes[k] == ranks[k] + ranks[k + 1] for k in range(len(ranks) - 1)):
         return True
-    exact = [
-        kernel.sparse_rank([
+    return _cellular_homology(cells, base_deg, d, layers, eps).is_sphere(d)
+
+
+def _cellular_homology(cells, base_deg, d, layers, eps):
+    """Reduced rational homology of Delta(x, y) from the cellular complex of
+    [x, y), with every rank exact (kernel.sparse_rank on the signed
+    matrices); the arguments are those of _acyclic_below_top.  Valid when
+    every (x, z), z < y, is a sphere of dimension deg z - deg x - 2 and
+    every eps[z] comes from the signing (see the module docstring)."""
+    # levels[k] holds the cells of dimension k - 1, from x up to deg y - 1
+    levels = [cells & layers[base_deg + k] for k in range(d + 2)]
+    ranks = [0] * (d + 3)
+    for k in range(1, d + 2):
+        ranks[k] = kernel.sparse_rank([
             (w, z, a)
             for z in _bits(levels[k])
             for w, a in eps[z].items()
             if cells >> w & 1
         ])
-        for k in ks
-    ]
-    return _lower_betti_vanish(sizes, exact)
+    return HomologyProfile(
+        levels[k].bit_count() - ranks[k] - ranks[k + 1] for k in range(d + 2)
+    )
 
 
-def _lower_betti_vanish(sizes, ranks):
-    """Whether |C_k| = r_k + r_(k+1) for k = 1 .. m, where ``sizes`` holds
-    the |C_k|, ``ranks`` holds r_2 .. r_(m+1) and r_1 = |C_0| - 1."""
-    ranks = [sizes[0] - 1] + ranks
-    return all(sizes[k] == ranks[k - 1] + ranks[k] for k in range(1, len(ranks)))
+def _certify_by_gaps(poset):
+    """Gorenstein* certificate from the faces of at most two elements.
 
-
-def _certify_by_faces(poset):
-    """Gorenstein* certificate by the face search.
-
-    Checks the order complex against S^(rank-1) and the link of every
-    nonempty face against the complementary sphere; the first failure (faces
-    ordered by dimension, then by sorted vertex ids) lands in the
-    certificate.  Link homology is assembled from memoized open-interval
-    homology by join convolution, which is exact over the rationals.
+    Walks the faces in the face search's order, (), each {x} in id order and
+    each comparable {x, y} in sorted-id order, and returns the first whose
+    link misses the sphere profile: no longer face can fail first (see the
+    module docstring).  A link's profile is the convolution of its gaps'
+    profiles, each memoized.  A gap (x, y) takes _cellular_homology when
+    every (x, z), z < y, is a sphere with a top cycle eps[z], and the order
+    complex of (x, y) otherwise.
     """
-    n = poset.rank
-    cache = {}
+    ix = poset.index_data()
+    ids = poset.elements()
+    up, down, deg, layers = ix.up, ix.down, ix.deg, ix.layers
+    eps = _sign_covers(ix)
+    top = len(ids) - 1
+    memo = {}
 
-    def interval_profile(x, y):
-        key = (x, y)
-        if key not in cache:
-            cache[key] = reduced_homology(_interval_complex(poset, x, y))
-        return cache[key]
+    def gap(x, y):
+        if (x, y) not in memo:
+            cells = up[x] & down[y]
+            spheres = all(
+                eps[z] is not None and gap(x, z).is_sphere(deg[z] - deg[x] - 2)
+                for z in _bits(cells & ~(1 << x | 1 << y))
+            )
+            memo[x, y] = (
+                _cellular_homology(cells, deg[x], deg[y] - deg[x] - 2, layers, eps)
+                if spheres
+                else reduced_homology(_interval_complex(poset, ids[x], ids[y]))
+            )
+        return memo[x, y]
 
-    def face_profile(chain):
-        ends = (poset.bottom,) + chain + (poset.top,)
-        vec = (1,)
-        for a, b in zip(ends, ends[1:]):
-            vec = _convolve(vec, interval_profile(a, b).shifted)
-            if not vec:
-                break
-        return HomologyProfile(vec)
-
-    faces = sorted(_chains(poset), key=lambda ch: (len(ch), tuple(sorted(ch))))
-    for chain in faces:
-        expected = HomologyProfile.sphere(n - 1 - len(chain))
-        got = face_profile(chain)
-        if got != expected:
-            return GorensteinCertificate(False, tuple(sorted(chain)), got)
-    return GorensteinCertificate(True, None, interval_profile(poset.bottom, poset.top))
+    by_ids = lambda face: tuple(sorted(ids[i] for i in face))
+    proper = range(1, top)
+    pairs = ((x, y) for x in proper for y in _bits(up[x] & ~(1 << x | 1 << top)))
+    # each group is sorted only once the walk reaches it
+    for faces in ([()], ((x,) for x in proper), pairs):
+        for face in sorted(faces, key=by_ids):
+            vec = (1,)
+            for a, b in zip((0,) + face, face + (top,)):
+                vec = _convolve(vec, gap(a, b).shifted)
+                if not vec:
+                    break
+            got = HomologyProfile(vec)
+            if not got.is_sphere(poset.rank - 1 - len(face)):
+                return GorensteinCertificate(False, by_ids(face), got)
+    return GorensteinCertificate(True, None, gap(0, top))
 
 
 # -- boundaries and quasi-convexity -----------------------------------------------
@@ -528,6 +547,4 @@ def is_quasi_convex(poset):
     """True when the boundary is Gorenstein*; a complete poset (empty
     boundary) counts as quasi-convex exactly when it is itself Gorenstein*."""
     bnd = boundary_of(poset)
-    if bnd.poset is None:
-        return bool(is_gorenstein_star(poset))
-    return bool(is_gorenstein_star(bnd.poset))
+    return bool(is_gorenstein_star(poset if bnd.poset is None else bnd.poset))

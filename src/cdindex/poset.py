@@ -49,7 +49,7 @@ class GradedPoset:
     by one, which already forces acyclicity.
     """
 
-    def __init__(self, rank, degrees, covers, check=True):
+    def __init__(self, rank, degrees, covers):
         self.rank = int(rank)
         ids = sorted(degrees, key=lambda e: (degrees[e], e))
         self._ids = tuple(ids)
@@ -71,8 +71,7 @@ class GradedPoset:
         self._cov_up = tuple(tuple(sorted(u)) for u in up)
         self._cov_down = tuple(tuple(sorted(d)) for d in down)
         self._index_data = None
-        if check:
-            self._validate()
+        self._validate()
 
     # -- construction helpers -------------------------------------------------
 

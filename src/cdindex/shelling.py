@@ -56,7 +56,7 @@ def semisuspend(poset, allow_complete=False):
         if allow_complete:
             return poset
         raise ValueError("input is complete (empty boundary)")
-    if not is_quasi_convex(poset):
+    if not is_gorenstein_star(bnd.poset):
         raise ValueError("input is not quasi-convex")
     n = poset.rank
     new_id = "s*"

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import strategies as st
 
 from cdindex import poset as poset_mod
-from cdindex.poset import GradedPoset, induced_subposet, star
+from cdindex.homology import (
+    GorensteinCertificate,
+    HomologyProfile,
+    _convolve,
+    _interval_complex,
+    reduced_homology,
+)
+from cdindex.poset import GradedPoset, _chains, induced_subposet, star
 
 
 def random_graded_poset(rng, max_rank=3, max_width=4):
@@ -49,9 +56,7 @@ def relabeled(p, rng):
 def polygon_minus_facet(k=4):
     """polygon(k) with one maximal cone removed: the standard quasi-convex
     but non-complete example."""
-    p = poset_mod.polygon(k)
-    members = set(p.elements()) - {p.top, f"f{k}"}
-    return induced_subposet(p, members, adjoin_top=True).poset
+    return minus_facet(poset_mod.polygon(k), f"f{k}")
 
 
 def pyramid_without_apex_star():
@@ -183,6 +188,48 @@ def manifold_controls():
         ),
         "pinched icosahedron": (pinched_icosahedron(), [0, 0, 1, 1]),
     }
+
+
+def _certify_by_faces(poset):
+    """Gorenstein* certificate by the face search.
+
+    Checks the order complex against S^(rank-1) and the link of every
+    nonempty face against the complementary sphere; the first failure (faces
+    ordered by dimension, then by sorted vertex ids) lands in the
+    certificate.  Link homology is assembled from memoized open-interval
+    homology by join convolution, which is exact over the rationals.
+    """
+    n = poset.rank
+    cache = {}
+
+    def interval_profile(x, y):
+        key = (x, y)
+        if key not in cache:
+            cache[key] = reduced_homology(_interval_complex(poset, x, y))
+        return cache[key]
+
+    def face_profile(chain):
+        ends = (poset.bottom,) + chain + (poset.top,)
+        vec = (1,)
+        for a, b in zip(ends, ends[1:]):
+            vec = _convolve(vec, interval_profile(a, b).shifted)
+            if not vec:
+                break
+        return HomologyProfile(vec)
+
+    faces = sorted(_chains(poset), key=lambda ch: (len(ch), tuple(sorted(ch))))
+    for chain in faces:
+        expected = HomologyProfile.sphere(n - 1 - len(chain))
+        got = face_profile(chain)
+        if got != expected:
+            return GorensteinCertificate(False, tuple(sorted(chain)), got)
+    return GorensteinCertificate(True, None, interval_profile(poset.bottom, poset.top))
+
+
+def minus_facet(p, facet):
+    """``p`` with the maximal element ``facet`` removed and a top adjoined."""
+    members = set(p.elements()) - {p.top, facet}
+    return induced_subposet(p, members, adjoin_top=True).poset
 
 
 @pytest.fixture

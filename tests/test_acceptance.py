@@ -41,7 +41,12 @@ from cdindex.poset import (
 from cdindex.recursion import cd_index_stanley
 from cdindex.shelling import pi_decomposition, shelling_sum
 
-from conftest import polygon_minus_facet, pyramid_without_apex_star, random_graded_poset
+from conftest import (
+    _certify_by_faces,
+    polygon_minus_facet,
+    pyramid_without_apex_star,
+    random_graded_poset,
+)
 
 
 def report(num, name, ok, seconds=None):
@@ -156,8 +161,7 @@ def test_criterion_07_gorenstein_certification():
 
 
 def test_certificates_match_face_search():
-    # the interval route against the retained face search, byte for byte
-    from cdindex.homology import _certify_by_faces
+    # the interval route against the face search, byte for byte
 
     controls = [chain(r) for r in (1, 2, 3)]
     controls += [polygon_minus_facet(4), pyramid_without_apex_star()]

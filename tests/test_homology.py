@@ -12,7 +12,6 @@ from cdindex.homology import (
     HomologyProfile,
     SimplicialComplex,
     _acyclic_below_top,
-    _certify_by_faces,
     _intervals_are_spheres,
     _top_cycle,
     boundary_of,
@@ -42,10 +41,12 @@ from cdindex.recursion import cd_index_stanley
 from conftest import (
     RP2_6,
     TORUS_7,
+    _certify_by_faces,
     antipodal_quotient,
     face_poset,
     gorenstein_posets,
     manifold_controls,
+    minus_facet,
     polygon_minus_facet,
     product_face_poset,
     pyramid_without_apex_star,
@@ -254,8 +255,6 @@ def test_fast_certifier_matches_naive_link_route():
 
 
 def test_interval_certifier_matches_face_search(rng):
-    from cdindex.homology import _certify_by_faces
-
     posets = [
         random_graded_poset(rng, max_rank=rng.randint(1, 4), max_width=rng.randint(1, 4))
         for _ in range(150)
@@ -496,8 +495,8 @@ def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
     _entries_rank_mod2 the GF(2) test alone."""
     sizes = [(cells & layers[base_deg + 1 + k]).bit_count() for k in range(d + 1)]
     m = (d - 1) // 2
-    ranks = [1, sizes[0] - 1]
-    for k in range(2, m + 2):
+    ranks = [1]
+    for k in range(1, m + 2):
         level = cells & layers[base_deg + 1 + k]
         entries = [
             (w, z, a)
@@ -506,7 +505,7 @@ def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
             if cells >> w & 1
         ]
         ranks.append(rank(entries))
-    if any(sizes[k] != ranks[k] + ranks[k + 1] for k in range(1, m + 1)):
+    if any(sizes[k] != ranks[k] + ranks[k + 1] for k in range(m + 1)):
         return False
     return d % 2 == 1 or sum(sizes[::2]) - sum(sizes[1::2]) == 2
 
@@ -554,14 +553,15 @@ def test_mod2_acceptance_implies_exact_acceptance(p):
         assert exact or not mod2
 
 
-# the check of the fast route that rejects each control first: the pinch
-# vertex's link (two pentagons) fails connectivity; the 3-torus fails the
-# rank r_2 (b_1 = 3), and S2 x S2 the Euler characteristic (b_2 = 2)
+# the dimension d of the interval at which the fast route rejects each
+# control first: the pinch vertex's link (two pentagons, d = 1) fails the
+# rank r_1 (b_0 = 1); the 3-torus fails the rank r_2 (b_1 = 3) on the whole,
+# and S2 x S2 and S1 x S3 the Euler characteristic of the whole
 FIRST_REJECTION = {
-    "cubical 3-torus": "betti",
-    "S2 x S2": "betti",
-    "S1 x S3": "betti",
-    "pinched icosahedron": "connectivity",
+    "cubical 3-torus": 3,
+    "S2 x S2": 4,
+    "S1 x S3": 4,
+    "pinched icosahedron": 1,
 }
 
 
@@ -574,19 +574,15 @@ def test_manifold_controls_are_rejected(name, monkeypatch):
     p, betti = manifold_controls()[name]
     rejections = []
 
-    def spy(check, func):
-        def wrapped(*args):
-            ok = func(*args)
-            if not ok:
-                rejections.append(check)
-            return ok
+    check = homology._acyclic_below_top
 
-        return wrapped
+    def spy(*args):
+        ok = check(*args)
+        if not ok:
+            rejections.append(args[2])
+        return ok
 
-    monkeypatch.setattr(homology, "_connected", spy("connectivity", homology._connected))
-    monkeypatch.setattr(
-        homology, "_acyclic_below_top", spy("betti", homology._acyclic_below_top)
-    )
+    monkeypatch.setattr(homology, "_acyclic_below_top", spy)
     assert not _intervals_are_spheres(p)
     assert rejections == [FIRST_REJECTION[name]]
     assert not _intervals_are_spheres_per_pair(p)
@@ -611,8 +607,8 @@ def test_passing_spheres_need_no_exact_rank(monkeypatch):
 
 def test_rp3_certifies_through_the_exact_fallback(monkeypatch):
     # RP^3 is a rational homology sphere with 2-torsion: the GF(2) ranks see
-    # b_1 = 1 on the whole, so that interval (d = 3, one rank) goes to the
-    # exact ranks, and no other does
+    # b_1 = 1 on the whole, so that interval (d = 3) takes its exact homology
+    # from the four signed ranks r_1 .. r_4, and no other interval does
     import cdindex.homology as homology
 
     rp3 = antipodal_quotient(crosspoly_fan(4))
@@ -634,7 +630,7 @@ def test_rp3_certifies_through_the_exact_fallback(monkeypatch):
     monkeypatch.setattr(kernel, "sparse_rank", counting)
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
     cert = is_gorenstein_star(rp3).to_json()
-    assert fallbacks == [(3, 1)]
+    assert fallbacks == [(3, 4)]
     assert cert == {
         "gorenstein_star": True, "failing_face": None, "betti": [0, 0, 0, 0, 1],
     }
@@ -651,3 +647,41 @@ def test_even_dimensional_projective_spaces_are_rejected(n):
     cert = is_gorenstein_star(p).to_json()
     assert cert == {"gorenstein_star": False, "failing_face": [], "betti": []}
     assert cert == _certify_by_faces(p).to_json()
+
+
+def _minus_first_facet(p):
+    return minus_facet(p, p.elements_of_degree(p.rank)[0])
+
+
+BALL = {"gorenstein_star": False, "failing_face": [], "betti": []}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_simplex_fan_minus_a_facet_matches_face_search(n):
+    # a ball: the whole is acyclic, so the empty face fails first
+    p = _minus_first_facet(simplex_fan(n))
+    cert = is_gorenstein_star(p).to_json()
+    assert cert == BALL
+    assert cert == _certify_by_faces(p).to_json()
+
+
+def test_failing_certificates_need_no_order_complex(monkeypatch):
+    # every lower interval of these is a sphere, so the cellular complex
+    # gives the homology of every gap the certificate needs; the face search
+    # took 2 s on simplex_fan(6) minus a facet
+    import cdindex.homology as homology
+
+    expected = [(_minus_first_facet(simplex_fan(n)), BALL) for n in (6, 7)]
+    expected += [
+        (face_poset(TORUS_7), BALL | {"betti": [0, 0, 2, 1]}),
+        (face_poset(RP2_6), BALL),
+    ]
+    expected += [(p, BALL | {"betti": betti}) for p, betti in manifold_controls().values()]
+    expected += [(antipodal_quotient(crosspoly_fan(n)), BALL) for n in (3, 5)]
+
+    def refuse(complex_):
+        raise AssertionError("order-complex homology")
+
+    monkeypatch.setattr(homology, "reduced_homology", refuse)
+    for p, cert in expected:
+        assert is_gorenstein_star(p).to_json() == cert
