@@ -9,13 +9,10 @@ rank n.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .cdpoly import SubsetPolynomial, phi_expand, to_cd
-from .poset import _bits
 
 
 @dataclass(frozen=True)
@@ -53,14 +50,15 @@ def flag_f(poset):
     step from layer max S to layer b, so every set costs one layer-to-layer
     step on top of its parent's counts.  A set with no chains ends its
     branch, since every extension of it has none either.
+
+    The elements below j come from the poset's shared comparability table
+    (``index_data().below``); those of degree a are one slice of it.
     """
     n = poset.rank
     ix = poset.index_data()
-    # indices are sorted by degree: degree d holds start[d] .. start[d+1]-1,
-    # and the elements below j of degree a are one slice of below[j]; an
-    # array holds that slice without one int object per comparable pair
-    start = list(accumulate((m.bit_count() for m in ix.layers), initial=0))
-    below = [array("l", _bits(m)) for m in ix.down]
+    # indices are sorted by degree: degree d holds start[d] .. start[d+1]-1
+    start = ix.layer_start
+    flat, offset = ix.below
     totals = [0] * (1 << n)
     totals[0] = 1
 
@@ -75,9 +73,9 @@ def flag_f(poset):
         for b in range(a + 1, n + 1):
             step = {}
             for j in range(start[b], start[b + 1]):
-                under = below[j]
-                under = under[bisect_left(under, lo) : bisect_left(under, hi)]
-                step[j] = sum(map(get, under))
+                last = offset[j + 1]
+                first = bisect_left(flat, lo, offset[j], last)
+                step[j] = sum(map(get, flat[first : bisect_left(flat, hi, first, last)]))
             extend(mask | 1 << (b - 1), b, step)
 
     for a in range(1, n + 1):

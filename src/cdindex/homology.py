@@ -332,23 +332,24 @@ def is_gorenstein_star(poset):
     the module docstring); the certificate of a pass holds the homology of
     S^(rank-1).  When an interval fails, the certificate names the first
     face (ordered by dimension, then by sorted vertex ids) whose link misses
-    the sphere profile, and that link's homology.
+    the sphere profile, and that link's homology.  The covers are signed
+    once, and both steps share the signing.
     """
-    if _intervals_are_spheres(poset):
+    eps = _sign_covers(poset.index_data())
+    if _intervals_are_spheres(poset, eps):
         return GorensteinCertificate(
             True, None, HomologyProfile.sphere(poset.rank - 1)
         )
-    return _certify_by_gaps(poset)
+    return _certify_by_gaps(poset, eps)
 
 
-def _intervals_are_spheres(poset):
+def _intervals_are_spheres(poset, eps):
     """True when every open interval (x, y) is a rational homology sphere of
     dimension deg y - deg x - 2; False at the first interval that is not, or
     when some element y has no +-1 top cycle of (bottom, y) (see the module
-    docstring)."""
+    docstring).  ``eps`` is the poset's cover signing, from _sign_covers."""
     ix = poset.index_data()
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
-    eps = _sign_covers(ix)
     if None in eps:
         return False
     # reversed index order visits bases in decreasing degree, and _bits yields
@@ -471,7 +472,7 @@ def _cellular_homology(cells, base_deg, d, layers, eps):
     )
 
 
-def _certify_by_gaps(poset):
+def _certify_by_gaps(poset, eps):
     """Gorenstein* certificate from the faces of at most two elements.
 
     Walks the faces in the face search's order, (), each {x} in id order and
@@ -480,12 +481,12 @@ def _certify_by_gaps(poset):
     module docstring).  A link's profile is the convolution of its gaps'
     profiles, each memoized.  A gap (x, y) takes _cellular_homology when
     every (x, z), z < y, is a sphere with a top cycle eps[z], and the order
-    complex of (x, y) otherwise.
+    complex of (x, y) otherwise.  ``eps`` is the poset's cover signing,
+    from _sign_covers.
     """
     ix = poset.index_data()
     ids = poset.elements()
     up, down, deg, layers = ix.up, ix.down, ix.deg, ix.layers
-    eps = _sign_covers(ix)
     top = len(ids) - 1
     memo = {}
 
@@ -546,5 +547,13 @@ def boundary_of(poset):
 def is_quasi_convex(poset):
     """True when the boundary is Gorenstein*; a complete poset (empty
     boundary) counts as quasi-convex exactly when it is itself Gorenstein*."""
+    return _quasi_convex_boundary(poset) is not None
+
+
+def _quasi_convex_boundary(poset):
+    """boundary_of(poset) when the poset is quasi-convex (see
+    is_quasi_convex), else None; the boundary is built and certified once."""
     bnd = boundary_of(poset)
-    return bool(is_gorenstein_star(poset if bnd.poset is None else bnd.poset))
+    if is_gorenstein_star(poset if bnd.poset is None else bnd.poset):
+        return bnd
+    return None

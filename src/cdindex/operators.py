@@ -13,19 +13,19 @@ walk over their suffixes: a c only lowers the level, a d applies D once for
 every word that ends with the suffix it completes, and each D computes E
 only on the elements of degree <= m-2 that its last C keeps.  The cost is
 one D per suffix that starts with d, not one per letter d of every word.
+The elements above each s, which E sums over, are a slice of the poset's
+shared comparability table (``index_data().above``), built once per poset.
 eval_cd_monomial, op_C, op_D and op_E still evaluate one word at a time
 on SkeletonFunction values; compute --trace uses them, word by word.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .cdpoly import CdPolynomial, word_degree
-from .poset import _bits, barycentric, skeleton
+from .poset import barycentric, skeleton
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,9 @@ def cd_index_operator(poset):
     n = poset.rank
     ix = poset.index_data()
     deg = ix.deg
-    size = list(accumulate(layer.bit_count() for layer in ix.layers))
-    # arrays, not tuples: no int object per comparable pair
-    ups = [array("l", _bits(u)) for u in ix.up]
+    # size[m]: the number of elements of degree <= m
+    size = ix.layer_start[1:]
+    flat, offset = ix.above
     values = {}
 
     def apply_d(m, f):
@@ -153,8 +153,8 @@ def cd_index_operator(poset):
         ]
         out = []
         for s in range(size[m - 2]):
-            above = ups[s]
-            above = above[: bisect_left(above, top)]
+            first = offset[s]
+            above = flat[first : bisect_left(flat, top, first, offset[s + 1])]
             out.append(sum(map(signed.__getitem__, above)) - f[s])
         return out
 

@@ -17,7 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
 BOTTOM = "_bot"
 TOP = "_top"
@@ -27,10 +31,18 @@ class InvalidPoset(ValueError):
     """The data does not satisfy the graded poset axioms."""
 
 
+class FlatTable(NamedTuple):
+    """Sorted index lists laid end to end: list i is flat[start[i]:start[i+1]]."""
+
+    flat: array
+    start: array
+
+
 @dataclass(frozen=True)
 class IndexData:
     """Degrees, order masks, degree layers, covers and the id map by
-    element index; see GradedPoset.index_data."""
+    element index, and the comparability tables built from the masks on
+    first use; see GradedPoset.index_data."""
 
     deg: tuple
     down: tuple
@@ -39,6 +51,35 @@ class IndexData:
     cov_down: tuple
     cov_up: tuple
     index: dict
+
+    @cached_property
+    def layer_start(self):
+        # the elements of degree d are indices layer_start[d] .. layer_start[d+1]-1
+        return tuple(accumulate((m.bit_count() for m in self.layers), initial=0))
+
+    @cached_property
+    def below(self):
+        flat = array("i")
+        for m in self.down:
+            flat.extend(_bits(m))
+        start = array("i", accumulate((m.bit_count() for m in self.down), initial=0))
+        return FlatTable(flat, start)
+
+    @cached_property
+    def above(self):
+        # counting-sort transposition of below: walking i upwards appends i to
+        # the list of every j <= i, so each list comes out sorted
+        flat, start = self.below
+        above_start = array(
+            "i", accumulate((m.bit_count() for m in self.up), initial=0)
+        )
+        out = array("i", [0]) * len(flat)
+        fill = list(above_start)
+        for i in range(len(start) - 1):
+            for j in flat[start[i] : start[i + 1]]:
+                out[fill[j]] = i
+                fill[j] += 1
+        return FlatTable(out, above_start)
 
 
 class GradedPoset:
@@ -157,6 +198,23 @@ class GradedPoset:
         degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` and ``cov_up[i]``
         are the sorted indices that element i covers and that cover it, and
         ``index`` maps an id to its index.  Computed once, then shared.
+
+        Three more fields are built on first read, once per poset, so that
+        callers which never read them never pay for them:
+
+        - ``layer_start[d]`` is the first index of degree d (and
+          ``layer_start[rank + 2]`` the element count), so degree d holds
+          indices ``layer_start[d] .. layer_start[d + 1] - 1``;
+        - ``below`` and ``above`` are FlatTable pairs ``(flat, start)``:
+          the sorted indices j <= i (the set bits of ``down[i]``) are
+          ``below.flat[below.start[i]:below.start[i + 1]]``, and those of
+          ``up[i]`` likewise in ``above``.  Each flat table is one
+          ``array("i")``, 4 bytes per comparable pair (i itself included),
+          plus n + 1 offsets.  ``below`` decodes the masks once; ``above``
+          is its transpose, by a counting sort into a preallocated array.
+          Since indices follow degree, the elements of one degree window of
+          a list are one slice, found by ``bisect_left`` with the list's
+          bounds as lo and hi.
         """
         if self._index_data is None:
             n = len(self._ids)

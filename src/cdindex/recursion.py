@@ -10,10 +10,10 @@ certify non-Eulerian input.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from .cdpoly import CdPolynomial
-from .poset import _bits
 
 
 class NonIntegralResult(ArithmeticError):
@@ -47,18 +47,24 @@ def cd_index_stanley(poset):
     recursion is linear in the lower indices, so for each sigma the indices
     of the elements of one degree k below it are added first, and each
     degree's sum is multiplied by its (c^2-2d) factor once, not once per
-    element.
+    element.  The elements of degree k below sigma are one slice of the
+    poset's shared comparability table (``index_data().below``).
     """
     ix = poset.index_data()
     ids = poset.elements()
+    start = ix.layer_start
+    flat, offset = ix.below
     memo = [()] * len(ids)
     # indices are sorted by degree, and index 0 is the bottom
     for sigma in range(1, len(ids)):
         n = ix.deg[sigma] - 1
+        first, last = offset[sigma], offset[sigma + 1]
         total = {}
         for k in range(1, n + 1):
             group = {}
-            for tau in _bits(ix.down[sigma] & ix.layers[k]):
+            lo = bisect_left(flat, start[k], first, last)
+            hi = bisect_left(flat, start[k + 1], lo, last)
+            for tau in flat[lo:hi]:
                 for w, v in memo[tau]:
                     group[w] = group.get(w, 0) + v
             for w1, v1 in group.items():

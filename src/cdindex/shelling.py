@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cdpoly import CdPolynomial
 from .flags import cd_index_flag
-from .homology import boundary_of, is_gorenstein_star, is_quasi_convex
+from .homology import _quasi_convex_boundary, boundary_of, is_gorenstein_star
 from .poset import GradedPoset, InvalidPoset, _bits, induced_subposet, strict_ideal
 
 
@@ -58,6 +58,12 @@ def semisuspend(poset, allow_complete=False):
         raise ValueError("input is complete (empty boundary)")
     if not is_gorenstein_star(bnd.poset):
         raise ValueError("input is not quasi-convex")
+    return _semisuspension(poset)
+
+
+def _semisuspension(poset):
+    """semisuspend's completion, without its checks: the boundary must be
+    nonempty and Gorenstein*."""
     n = poset.rank
     new_id = "s*"
     while new_id in poset:
@@ -77,13 +83,21 @@ def cd_index_quasiconvex(poset):
 
     interior = cd-index(semisuspension) - cd-index(boundary)*c; a complete
     poset gets interior = its own cd-index and boundary 0 by convention.
+    Input that is_quasi_convex rejects raises ValueError.
     """
-    bnd = boundary_of(poset)
+    bnd = _quasi_convex_boundary(poset)
+    if bnd is None:
+        raise ValueError("input is not quasi-convex")
+    return _quasiconvex_index(poset, bnd)
+
+
+def _quasiconvex_index(poset, bnd):
+    """cd_index_quasiconvex for a poset whose boundary ``bnd`` came from
+    _quasi_convex_boundary."""
     if bnd.poset is None:
         return QuasiConvexIndex(cd_index_flag(poset), CdPolynomial.zero())
-    completed = semisuspend(poset)
     boundary_ix = cd_index_flag(bnd.poset)
-    interior = cd_index_flag(completed) - boundary_ix * _C
+    interior = cd_index_flag(_semisuspension(poset)) - boundary_ix * _C
     return QuasiConvexIndex(interior, boundary_ix)
 
 
@@ -92,7 +106,8 @@ def shelling_steps(poset, order):
 
     Step i >= 2 intersects the ideal of facet i with the earlier ideals;
     the intersection must be a quasi-convex poset of rank n-1 or the order
-    is rejected with ShellingInvalid naming the step.
+    is rejected with ShellingInvalid naming the step.  Each step builds its
+    intersection's boundary once and certifies once.
     """
     n = poset.rank
     facets = poset.elements_of_degree(n)
@@ -113,9 +128,10 @@ def shelling_steps(poset, order):
             raise ShellingInvalid(
                 i, f"intersection with earlier facets has rank != {n - 1}"
             )
-        if not is_quasi_convex(sub.poset):
+        bnd = _quasi_convex_boundary(sub.poset)
+        if bnd is None:
             raise ShellingInvalid(i, "intersection is not quasi-convex")
-        qc = cd_index_quasiconvex(sub.poset)
+        qc = _quasiconvex_index(sub.poset, bnd)
         steps.append((sigma, qc.interior, qc.boundary))
         seen |= ix.down[ix.index[sigma]]
     return steps

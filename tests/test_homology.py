@@ -13,6 +13,7 @@ from cdindex.homology import (
     SimplicialComplex,
     _acyclic_below_top,
     _intervals_are_spheres,
+    _sign_covers,
     _top_cycle,
     boundary_of,
     is_gorenstein_star,
@@ -355,6 +356,11 @@ def test_is_quasi_convex():
 # -- the per-pair route, kept as the oracle for _intervals_are_spheres --------
 
 
+def _spheres(poset):
+    """_intervals_are_spheres with the poset's own cover signing."""
+    return _intervals_are_spheres(poset, _sign_covers(poset.index_data()))
+
+
 def _intervals_are_spheres_per_pair(poset):
     """True when every open interval (x, y) is a rational homology sphere of
     dimension deg y - deg x - 2; False at the first interval that is not, or
@@ -486,7 +492,7 @@ ORACLE_INPUTS = st.one_of(
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(ORACLE_INPUTS)
 def test_intervals_are_spheres_matches_per_pair_oracle(p):
-    assert _intervals_are_spheres(p) == _intervals_are_spheres_per_pair(p)
+    assert _spheres(p) == _intervals_are_spheres_per_pair(p)
 
 
 def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
@@ -547,7 +553,7 @@ def test_mod2_acceptance_implies_exact_acceptance(p):
         return got
 
     with mock.patch("cdindex.homology._acyclic_below_top", checked):
-        _intervals_are_spheres(p)
+        _spheres(p)
     for mod2, exact, got in seen:
         assert got == exact
         assert exact or not mod2
@@ -583,7 +589,7 @@ def test_manifold_controls_are_rejected(name, monkeypatch):
         return ok
 
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
-    assert not _intervals_are_spheres(p)
+    assert not _spheres(p)
     assert rejections == [FIRST_REJECTION[name]]
     assert not _intervals_are_spheres_per_pair(p)
     cert = is_gorenstein_star(p).to_json()
@@ -685,3 +691,25 @@ def test_failing_certificates_need_no_order_complex(monkeypatch):
     monkeypatch.setattr(homology, "reduced_homology", refuse)
     for p, cert in expected:
         assert is_gorenstein_star(p).to_json() == cert
+
+
+def test_failing_certificate_signs_the_covers_once(monkeypatch):
+    # the interval check and the certificate share one signing
+    import cdindex.homology as homology
+
+    calls = []
+    sign = homology._sign_covers
+
+    def counted(ix):
+        calls.append(ix)
+        return sign(ix)
+
+    monkeypatch.setattr(homology, "_sign_covers", counted)
+    for p, want in [
+        (_minus_first_facet(simplex_fan(4)), BALL),
+        (face_poset(TORUS_7), BALL | {"betti": [0, 0, 2, 1]}),
+        (simplex_fan(4), {"gorenstein_star": True, "failing_face": None, "betti": [0, 0, 0, 0, 1]}),
+    ]:
+        calls.clear()
+        assert is_gorenstein_star(p).to_json() == want
+        assert len(calls) == 1

@@ -2,6 +2,7 @@ import pytest
 
 from cdindex.cdpoly import CdPolynomial
 from cdindex.flags import cd_index_flag
+from cdindex.homology import is_quasi_convex
 from cdindex.poset import (
     build_pyramid,
     chain,
@@ -23,7 +24,7 @@ from cdindex.shelling import (
     shelling_sum,
 )
 
-from conftest import polygon_minus_facet, pyramid_without_apex_star
+from conftest import manifold_controls, polygon_minus_facet, pyramid_without_apex_star
 
 
 def single_ray():
@@ -75,6 +76,15 @@ def test_quasiconvex_index_complete():
     qc = cd_index_quasiconvex(polygon(7))
     assert qc.interior == cd_index_flag(polygon(7))
     assert qc.boundary == CdPolynomial.zero()
+
+
+def test_quasiconvex_index_rejects_complete_non_sphere():
+    # complete and Eulerian, so the flag route alone would answer, but not
+    # Gorenstein*: is_quasi_convex and cd_index_quasiconvex both refuse it
+    torus, _ = manifold_controls()["cubical 3-torus"]
+    assert not is_quasi_convex(torus)
+    with pytest.raises(ValueError, match="input is not quasi-convex"):
+        cd_index_quasiconvex(torus)
 
 
 def test_quasiconvex_defining_identity():
@@ -192,3 +202,30 @@ def test_step_parts_nonnegative():
         for sigma, f, g in shelling_steps(polygon(k), [f"f{i}" for i in range(1, k + 1)]):
             assert all(v >= 0 for _, v in f.sorted_terms())
             assert all(v >= 0 for _, v in g.sorted_terms())
+
+
+def test_shelling_certifies_each_step_once(monkeypatch):
+    # one boundary and one certification a step: the boundary of each
+    # non-complete intersection, and the last, complete one itself
+    import cdindex.homology as homology
+
+    calls = {"boundary_of": 0, "is_gorenstein_star": 0}
+
+    def counted(name):
+        inner = getattr(homology, name)
+
+        def wrapper(p):
+            calls[name] += 1
+            return inner(p)
+
+        monkeypatch.setattr(homology, name, wrapper)
+
+    counted("boundary_of")
+    counted("is_gorenstein_star")
+    s4 = simplex_fan(4)
+    order = sorted(s4.elements_of_degree(4))
+    steps = shelling_steps(s4, order)
+    assert len(steps) == 4
+    assert [bool(boundary) for _, _, boundary in steps] == [True] * 3 + [False]
+    assert calls == {"boundary_of": 4, "is_gorenstein_star": 4}
+    assert shelling_sum(s4, order) == cd_index_flag(s4)
