@@ -8,7 +8,6 @@ decompositions.  All arithmetic is exact; no floats anywhere.
 
 from .cdpoly import (
     CdPolynomial,
-    NonIntegralCoefficients,
     NotACdPolynomial,
     SubsetPolynomial,
     enumerate_cd_words,

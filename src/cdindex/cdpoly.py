@@ -23,14 +23,6 @@ class NotACdPolynomial(ValueError):
     """
 
 
-class NonIntegralCoefficients(ArithmeticError):
-    """Integer input led to non-integer cd-coefficients.
-
-    Kept as a public name only: to_cd no longer raises it, because peeling
-    never divides, so integer input always gives integer coefficients.
-    """
-
-
 def _norm(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)

@@ -48,7 +48,10 @@ checks remain:
   orientable, closed homology d-manifold has b_d = 1 and, by Poincare
   duality over Q (J. R. Munkres, "Elements of Algebraic Topology", 1984),
   b_k = b_(d-k).  So b_0 .. b_m with m = (d-1) // 2, from r_1 .. r_(m+1),
-  settle every b_k, 0 <= k < d, except the middle one for even d.  The
+  settle every b_k, 0 <= k < d, except the middle one for even d: an
+  interval of dimension d takes at most (d + 1) // 2 ranks.  They are
+  taken in increasing k, each level of cells built only when its rank is,
+  and the first k with |C_(k-1)| != r_(k-1) + r_k ends the walk.  The
   ranks are taken over GF(2), by kernel.rank_mod2: every entry of eps is
   +-1, so the row of z is its lower-cover mask cut to the cells, with no
   signs.  r_1 is exact there, since a 1-cell has two vertices (the
@@ -59,10 +62,15 @@ checks remain:
   r_k - r_(k+1) >= 0 with the rational ranks; when |C_k| = r_k + r_(k+1)
   holds for k = 0 .. m with the GF(2) ranks, it holds with the rational
   ones.  An interval that GF(2) leaves open, by 2-torsion (RP^3) or by a
-  real failure, is checked again by its exact homology: _cellular_homology
-  takes every rank of the signed matrices from kernel.sparse_rank;
+  real failure, is checked again, at its first GF(2) deficit, by its exact
+  homology: _cellular_homology takes every rank of the signed matrices
+  from kernel.sparse_rank;
 - Euler characteristic: for even d, the alternating cell count
-  sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.
+  sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.  It needs
+  no rank, so it comes first; for odd d it is not taken.
+Intervals with d < 1 need neither check, so the loop over the y above a
+base x never reaches them: indices follow degree order, and the y with
+d >= 1 are the bits of up[x] from the first index of degree deg x + 3 on.
 So the signs of eps serve the orientability argument and the exact
 homology; a passing interval needs only cover masks.  Arithmetic is in
 integers only, and matrix sides are element counts, not chain counts.
@@ -217,7 +225,7 @@ class HomologyProfile:
         return self.shifted[j] if 0 <= j < len(self.shifted) else 0
 
     def is_sphere(self, d):
-        return self == HomologyProfile.sphere(d)
+        return self.shifted == (0,) * (d + 1) + (1,)
 
     def to_list(self):
         """Plain list starting at dimension -1."""
@@ -352,14 +360,20 @@ def _intervals_are_spheres(poset, eps):
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
     if None in eps:
         return False
+    # Only the y with d = deg y - deg x - 2 >= 1 need work (S^-1 and, by the
+    # signing, S^0 hold already).  Indices follow degree order, so these y
+    # are the bits of up[x] from cut[deg x] on: the first index of degree
+    # deg x + 3, or the element count when there is none.  The cuts come from
+    # the layers, so that certification builds no table, layer_start included.
+    cut = [(m & -m).bit_length() - 1 for m in layers[3:]] + [len(deg)] * 3
     # reversed index order visits bases in decreasing degree, and _bits yields
     # the elements above one increasingly
     for x in reversed(range(len(deg))):
-        for y in _bits(up[x]):
-            d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
-            # for d < 1, S^-1 and, by the signing, S^0 hold already
-            if d >= 1 and not _acyclic_below_top(
-                up[x] & down[y], deg[x], d, layers, down, eps
+        upx, base = up[x], deg[x]
+        s = cut[base]
+        for y in _bits(upx >> s << s):
+            if not _acyclic_below_top(
+                upx & down[y], base, deg[y] - base - 2, layers, down, eps
             ):
                 return False
     return True
@@ -424,8 +438,12 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     With r_k the rank of the boundary from dimension k to k-1, Betti number
     k is |C_k| - r_k - r_(k+1), and r_0 = 1.  b_0 = 0 makes Delta(x, y)
     connected, so Poincare duality gives b_k = b_(d-k) and only b_0 .. b_m
-    with m = (d-1) // 2 are computed, from r_1 .. r_(m+1); for even d the
-    middle Betti number vanishes when the Euler characteristic is 2.
+    with m = (d-1) // 2 are computed, from r_1 .. r_(m+1): at most
+    (d + 1) // 2 ranks.  For even d the middle Betti number vanishes when
+    the Euler characteristic is 2, which is tested first, as a running
+    alternating sum of the level sizes.  Then k walks 1 .. m+1, carrying
+    the level C_(k-1) and its rank, and builds only C_k; the walk stops at
+    the first k where b_(k-1) = |C_(k-1)| - r_(k-1) - r_k is not 0.
 
     The ranks are taken over GF(2), where the row of z is its lower-cover
     mask ``down[z]`` cut to the level below, since every entry of eps is
@@ -436,19 +454,25 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     when the GF(2) ranks already give |C_k| = r_k + r_(k+1) for k = 0 .. m,
     the rational ranks do too.  Only an interval that GF(2) leaves open
     (2-torsion, as in RP^3, or a real failure) takes its exact homology
-    from _cellular_homology.
+    from _cellular_homology, at its first GF(2) deficit.
     """
-    levels = [cells & layers[base_deg + 1 + k] for k in range(d + 1)]
-    sizes = [level.bit_count() for level in levels]
-    if d % 2 == 0 and sum(sizes[::2]) - sum(sizes[1::2]) != 2:
-        return False
-    ranks = [1] + [
-        kernel.rank_mod2([down[z] & levels[k - 1] for z in _bits(levels[k])])
-        for k in range(1, (d - 1) // 2 + 2)
-    ]
-    if all(sizes[k] == ranks[k] + ranks[k + 1] for k in range(len(ranks) - 1)):
-        return True
-    return _cellular_homology(cells, base_deg, d, layers, eps).is_sphere(d)
+    # the cells of degree t, cells & layers[t], are C_(t - base_deg - 1)
+    if d % 2 == 0:
+        # the fold leaves chi = |C_d| - |C_(d-1)| + ... + |C_0|
+        chi = 0
+        for t in range(base_deg + 1, base_deg + d + 2):
+            chi = (cells & layers[t]).bit_count() - chi
+        if chi != 2:
+            return False
+    below = cells & layers[base_deg + 1]
+    r_below = 1
+    for t in range(base_deg + 2, base_deg + (d - 1) // 2 + 3):
+        level = cells & layers[t]
+        r = kernel.rank_mod2([down[z] & below for z in _bits(level)])
+        if below.bit_count() != r_below + r:
+            return _cellular_homology(cells, base_deg, d, layers, eps).is_sphere(d)
+        below, r_below = level, r
+    return True
 
 
 def _cellular_homology(cells, base_deg, d, layers, eps):

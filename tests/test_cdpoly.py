@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cdindex.cdpoly import (
     CdPolynomial,
-    NonIntegralCoefficients,
     NotACdPolynomial,
     SubsetPolynomial,
     enumerate_cd_words,
@@ -55,13 +54,18 @@ def _word_pair_bits(w):
     return pairs
 
 
+class NonIntegralSolution(ArithmeticError):
+    """The elimination oracle solved integer input with fractional
+    coefficients."""
+
+
 def _to_cd_by_elimination(h):
     """The former to_cd, kept as the oracle for the peel (n <= 7 only).
 
     Sets up the exact linear system of all degree-n word images against the
     2^n subsets and solves it by rational elimination; a nonzero residual on
     any subset certifies that h is not a cd-polynomial.  Raises
-    NonIntegralCoefficients if an integer input solves with fractional
+    NonIntegralSolution if an integer input solves with fractional
     coefficients.
     """
     n = h.n
@@ -131,7 +135,7 @@ def _to_cd_by_elimination(h):
 
     integral_input = all(isinstance(v, int) for v in h.terms.values())
     if integral_input and any(v.denominator != 1 for v in coeffs):
-        raise NonIntegralCoefficients(f"solution {coeffs} is not integral")
+        raise NonIntegralSolution(f"solution {coeffs} is not integral")
     return CdPolynomial({w: coeffs[j] for j, w in enumerate(words)})
 
 
@@ -277,8 +281,7 @@ def test_to_cd_flags_non_integral():
     half = phi_expand(C) * Fraction(1, 2)
     # fractional input solves fine
     assert to_cd(half) == CdPolynomial({"c": Fraction(1, 2)})
-    # peeling never divides, so integer input gives integer coefficients and
-    # to_cd no longer raises NonIntegralCoefficients
+    # peeling never divides, so integer input gives integer coefficients
     h = SubsetPolynomial(1, {frozenset(): 1, frozenset({1}): 1})
     assert to_cd(h) == C
 

@@ -108,6 +108,13 @@ def test_profile_api():
         HomologyProfile([0, -1])
 
 
+@pytest.mark.parametrize("shifted", [[], [1], [0, 1], [0, 0, 2], [0, 1, 1]])
+def test_is_sphere_matches_the_sphere_profile(shifted):
+    profile = HomologyProfile(shifted)
+    for d in range(-1, 6):
+        assert profile.is_sphere(d) == (profile == HomologyProfile.sphere(d))
+
+
 def test_euler_characteristic_consistency():
     for k in [cycle_complex(6), octahedron(), SimplicialComplex([(1, 2), (2, 3)])]:
         profile = reduced_homology(k)
@@ -609,6 +616,36 @@ def test_passing_spheres_need_no_exact_rank(monkeypatch):
               crosspoly_fan(5)]:
         assert is_gorenstein_star(p)
     assert calls == []
+
+
+def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
+    # the loop cuts each base's elements above it to those of degree at least
+    # deg x + 3 before decoding; every interval of these spheres passes, so
+    # each such pair x < y is checked exactly once, and no other pair is
+    import cdindex.homology as homology
+
+    check, seen = homology._acyclic_below_top, []
+
+    def spy(cells, base_deg, d, layers, down, eps):
+        # cells is the mask of [x, y]: x is its lowest bit and y its highest
+        seen.append(((cells & -cells).bit_length() - 1, cells.bit_length() - 1, d))
+        return check(cells, base_deg, d, layers, down, eps)
+
+    monkeypatch.setattr(homology, "_acyclic_below_top", spy)
+    for p in [build_pyramid(simplex_fan(5)), simplex_fan(6), cube_fan(5),
+              crosspoly_fan(5)]:
+        ix = p.index_data()
+        up, deg, n = ix.up, ix.deg, len(p)
+        expected = sorted(
+            (x, y, deg[y] - deg[x] - 2)
+            for x in range(n)
+            for y in range(n)
+            if up[x] >> y & 1 and deg[y] - deg[x] >= 3
+        )
+        seen.clear()
+        assert _spheres(p)
+        assert sorted(seen) == expected
+        assert min(d for _, _, d in seen) == 1
 
 
 def test_rp3_certifies_through_the_exact_fallback(monkeypatch):
