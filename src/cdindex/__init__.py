@@ -16,7 +16,7 @@ from .cdpoly import (
     to_cd,
     word_degree,
 )
-from .flags import FlagVector, cd_index_flag, flag_f, flag_h, skeleton_poincare, verify_duality
+from .flags import cd_index_flag, flag_f, flag_h, skeleton_poincare, verify_duality
 from .homology import (
     GorensteinCertificate,
     HomologyProfile,
@@ -53,7 +53,6 @@ from .poset import (
     ideal,
     induced_subposet,
     is_eulerian,
-    is_isomorphic,
     mobius,
     polygon,
     simplex_fan,

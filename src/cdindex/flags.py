@@ -1,40 +1,19 @@
 """Flag f- and h-vectors and the flag route to the cd-index.
 
 f_S counts the chains in the proper part of a poset whose degree set is S;
-h_T is its inclusion-exclusion transform.  For Eulerian posets the h-data is
-the image of a unique cd-polynomial, recovered by cdpoly.to_cd, which peels
-the t-substitution one letter at a time with additions only, in O(2^n) for
-rank n.
+h_T is its inclusion-exclusion transform.  Both are functions on the subsets
+of {1..n}, so both are held as cdpoly.SubsetPolynomial (the setting of the
+t-substitution of Bayer and Klapper, "A new index for polytopes", 1991).
+For Eulerian posets the h-data is the image of a unique cd-polynomial,
+recovered by cdpoly.to_cd, which peels the t-substitution one letter at a
+time with additions only, in O(2^n) for rank n.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .cdpoly import SubsetPolynomial, phi_expand, to_cd
-
-
-@dataclass(frozen=True)
-class FlagVector:
-    """Chain counts by degree set; f for the empty set is always 1."""
-
-    n: int
-    entries: dict
-
-    def get(self, s):
-        return self.entries.get(frozenset(s), 0)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "entries": {
-                ",".join(str(i) for i in sorted(s)): v
-                for s, v in sorted(
-                    self.entries.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-                )
-            },
-        }
 
 
 def _subsets(n):
@@ -43,7 +22,8 @@ def _subsets(n):
 
 
 def flag_f(poset):
-    """Flag f-vector by extending chain counts one degree at a time.
+    """Flag f-polynomial sum_S f_S t^S, as a SubsetPolynomial, by extending
+    chain counts one degree at a time.
 
     The degree sets are walked depth first.  The chains with degree set S,
     counted by their top element, extend to S + {b} for b > max S in one
@@ -80,7 +60,7 @@ def flag_f(poset):
 
     for a in range(1, n + 1):
         extend(1 << (a - 1), a, dict.fromkeys(range(start[a], start[a + 1]), 1))
-    return FlagVector(n, {s: t for s, t in zip(_subsets(n), totals) if t})
+    return SubsetPolynomial(n, {s: t for s, t in zip(_subsets(n), totals) if t})
 
 
 def flag_h(f):
@@ -91,7 +71,7 @@ def flag_h(f):
     """
     n = f.n
     vals = [0] * (1 << n)
-    for s, v in f.entries.items():
+    for s, v in f.terms.items():
         vals[sum(1 << (i - 1) for i in s)] = v
     for i in range(n):
         bit = 1 << i

@@ -53,8 +53,8 @@ checks remain:
   taken in increasing k, each level of cells built only when its rank is,
   and the first k with |C_(k-1)| != r_(k-1) + r_k ends the walk.  The
   ranks are taken over GF(2), by kernel.rank_mod2: every entry of eps is
-  +-1, so the row of z is its lower-cover mask cut to the cells, with no
-  signs.  r_1 is exact there, since a 1-cell has two vertices (the
+  +-1, so the row of z is its lower-cover mask restricted to the cells,
+  with no signs.  r_1 is exact there, since a 1-cell has two vertices (the
   signing), so its boundary is the incidence matrix of a graph, of rank
   |C_0| minus the number of components over any field.  The others are
   sound because a matrix's rank over GF(2) is at most its rank over Q,
@@ -180,7 +180,8 @@ class SimplicialComplex:
         return any(face <= f for f in self.facets)
 
     def reduced_euler(self):
-        """Alternating face count, empty face included (so -1 for a point)."""
+        """Alternating face count, empty face included: -1 for the empty
+        complex, 0 for a point, 1 for S^0."""
         total = 0
         for k, faces in enumerate(self.faces_by_dim()):
             total += len(faces) if k % 2 else -len(faces)
@@ -360,17 +361,17 @@ def _intervals_are_spheres(poset, eps):
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
     if None in eps:
         return False
+    start, last = ix.layer_start, poset.rank + 2
     # Only the y with d = deg y - deg x - 2 >= 1 need work (S^-1 and, by the
     # signing, S^0 hold already).  Indices follow degree order, so these y
-    # are the bits of up[x] from cut[deg x] on: the first index of degree
-    # deg x + 3, or the element count when there is none.  The cuts come from
-    # the layers, so that certification builds no table, layer_start included.
-    cut = [(m & -m).bit_length() - 1 for m in layers[3:]] + [len(deg)] * 3
+    # are the bits of up[x] from layer_start[deg x + 3] on, the first index
+    # of degree deg x + 3; past the top degree, layer_start[rank + 2] is the
+    # element count, which leaves none.
     # reversed index order visits bases in decreasing degree, and _bits yields
     # the elements above one increasingly
     for x in reversed(range(len(deg))):
         upx, base = up[x], deg[x]
-        s = cut[base]
+        s = start[min(base + 3, last)]
         for y in _bits(upx >> s << s):
             if not _acyclic_below_top(
                 upx & down[y], base, deg[y] - base - 2, layers, down, eps
@@ -446,10 +447,10 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     the first k where b_(k-1) = |C_(k-1)| - r_(k-1) - r_k is not 0.
 
     The ranks are taken over GF(2), where the row of z is its lower-cover
-    mask ``down[z]`` cut to the level below, since every entry of eps is
-    +-1.  r_1 is exact there: a 1-cell has two vertices, so its boundary
-    is a graph's incidence matrix, of rank |C_0| minus the number of
-    components over any field.  Any GF(2) rank is at most the rational one,
+    mask ``down[z]`` restricted to the level below, since every entry of
+    eps is +-1.  r_1 is exact there: a 1-cell has two vertices, so its
+    boundary is a graph's incidence matrix, of rank |C_0| minus the number
+    of components over any field.  Any GF(2) rank is at most the rational one,
     and the restricted eps is an integer chain complex, so b_k >= 0 over Q;
     when the GF(2) ranks already give |C_k| = r_k + r_(k+1) for k = 0 .. m,
     the rational ranks do too.  Only an interval that GF(2) leaves open

@@ -59,13 +59,9 @@ def _domain(poset, level):
     return {e for e in poset.elements() if poset.degree(e) <= level}
 
 
-def constant_function(poset, level=None, value=1):
-    """The constant function on the degree <= level skeleton (default: full)."""
-    if level is None:
-        level = poset.rank
-    return SkeletonFunction(
-        poset, level, {e: value for e in _domain(poset, level)}
-    )
+def constant_function(poset, level):
+    """The constant function 1 on the degree <= level skeleton."""
+    return SkeletonFunction(poset, level, dict.fromkeys(_domain(poset, level), 1))
 
 
 def op_E(f):

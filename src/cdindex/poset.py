@@ -40,22 +40,18 @@ class FlatTable(NamedTuple):
 
 @dataclass(frozen=True)
 class IndexData:
-    """Degrees, order masks, degree layers, covers and the id map by
-    element index, and the comparability tables built from the masks on
-    first use; see GradedPoset.index_data."""
+    """Degrees, order masks, degree layers and their first indices, covers
+    and the id map by element index, and the comparability tables built from
+    the masks on first use; see GradedPoset.index_data."""
 
     deg: tuple
     down: tuple
     up: tuple
     layers: tuple
+    layer_start: tuple
     cov_down: tuple
     cov_up: tuple
     index: dict
-
-    @cached_property
-    def layer_start(self):
-        # the elements of degree d are indices layer_start[d] .. layer_start[d+1]-1
-        return tuple(accumulate((m.bit_count() for m in self.layers), initial=0))
 
     @cached_property
     def below(self):
@@ -197,24 +193,23 @@ class GradedPoset:
         of ``up[i]`` iff j >= i; ``layers[d]`` is the mask of the elements of
         degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` and ``cov_up[i]``
         are the sorted indices that element i covers and that cover it, and
-        ``index`` maps an id to its index.  Computed once, then shared.
+        ``index`` maps an id to its index.  ``layer_start[d]`` is the first
+        index of degree d (and ``layer_start[rank + 2]`` the element count),
+        so degree d holds indices ``layer_start[d] .. layer_start[d + 1] - 1``.
+        Computed once, then shared.
 
-        Three more fields are built on first read, once per poset, so that
-        callers which never read them never pay for them:
-
-        - ``layer_start[d]`` is the first index of degree d (and
-          ``layer_start[rank + 2]`` the element count), so degree d holds
-          indices ``layer_start[d] .. layer_start[d + 1] - 1``;
-        - ``below`` and ``above`` are FlatTable pairs ``(flat, start)``:
-          the sorted indices j <= i (the set bits of ``down[i]``) are
-          ``below.flat[below.start[i]:below.start[i + 1]]``, and those of
-          ``up[i]`` likewise in ``above``.  Each flat table is one
-          ``array("i")``, 4 bytes per comparable pair (i itself included),
-          plus n + 1 offsets.  ``below`` decodes the masks once; ``above``
-          is its transpose, by a counting sort into a preallocated array.
-          Since indices follow degree, the elements of one degree window of
-          a list are one slice, found by ``bisect_left`` with the list's
-          bounds as lo and hi.
+        The comparability tables ``below`` and ``above`` are built on first
+        read, once per poset, so that callers which never read them never pay
+        for them.  They are FlatTable pairs ``(flat, start)``: the sorted
+        indices j <= i (the set bits of ``down[i]``) are
+        ``below.flat[below.start[i]:below.start[i + 1]]``, and those of
+        ``up[i]`` likewise in ``above``.  Each flat table is one
+        ``array("i")``, 4 bytes per comparable pair (i itself included), plus
+        n + 1 offsets.  ``below`` decodes the masks once; ``above`` is its
+        transpose, by a counting sort into a preallocated array.  Since
+        indices follow degree, the elements of one degree window of a list
+        are one slice, found by ``bisect_left`` with the list's bounds as lo
+        and hi.
         """
         if self._index_data is None:
             n = len(self._ids)
@@ -234,9 +229,10 @@ class GradedPoset:
             layers = [0] * (max(self._deg, default=0) + 1)
             for i, d in enumerate(self._deg):
                 layers[d] |= 1 << i
+            layer_start = accumulate((m.bit_count() for m in layers), initial=0)
             self._index_data = IndexData(
                 self._deg, tuple(down), tuple(up), tuple(layers),
-                self._cov_down, self._cov_up, self._index,
+                tuple(layer_start), self._cov_down, self._cov_up, self._index,
             )
         return self._index_data
 
@@ -639,27 +635,18 @@ def strict_ideal(poset, sigma):
 
 
 def mobius(poset, x, y):
-    """Mobius function mu(x, y) by the standard recursion."""
+    """Mobius function mu(x, y) by the standard recursion: mu(x, x) = 1 and
+    mu(x, z) = -(sum of mu(x, w) over x <= w < z)."""
     if not poset.leq(x, y):
         raise ValueError(f"{x!r} is not below {y!r}")
     ix = poset.index_data()
     down, up = ix.down, ix.up
-    xi = poset._index[x]
-    interval = up[xi] & down[poset._index[y]]
-    memo = {xi: 1}
-
-    def mu(zi):
-        if zi in memo:
-            return memo[zi]
-        below = up[xi] & down[zi] & ~(1 << zi)
-        val = -sum(mu(wi) for wi in _bits(below))
-        memo[zi] = val
-        return val
-
-    # indices are sorted by degree: fill bottom-up to keep recursion shallow
-    for zi in _bits(interval):
-        mu(zi)
-    return memo[poset._index[y]]
+    xi, yi = poset._index[x], poset._index[y]
+    mu = {xi: 1}
+    # indices are sorted by degree, so each w < z is filled before z
+    for zi in _bits(up[xi] & down[yi] & ~(1 << xi)):
+        mu[zi] = -sum(mu[wi] for wi in _bits(up[xi] & down[zi] & ~(1 << zi)))
+    return mu[yi]
 
 
 def is_eulerian(poset):
@@ -724,97 +711,3 @@ def barycentric(poset):
             covers.append((name(ch[:drop] + ch[drop + 1 :]), name(ch)))
     bposet = GradedPoset(n, degrees, covers)
     return BarycentricResult(bposet, projection, typeset)
-
-
-# -- isomorphism -------------------------------------------------------------------
-
-
-def is_isomorphic(p, q):
-    """Poset isomorphism by signature refinement plus backtracking.
-
-    Intended for the small posets in this package (a few hundred elements);
-    the refinement by (degree, cover-degree) signatures usually leaves little
-    for the search to do.
-    """
-    if p.rank != q.rank or len(p) != len(q):
-        return False
-
-    def refine(poset):
-        sig = {e: (poset.degree(e),) for e in poset.elements()}
-        for _ in range(len(poset)):
-            new = {}
-            for e in poset.elements():
-                ups = sorted(sig[u] for u in poset.upper_covers(e))
-                downs = sorted(sig[d] for d in poset.lower_covers(e))
-                new[e] = (sig[e], tuple(ups), tuple(downs))
-            # compress to small hashable tokens
-            codes = {s: i for i, s in enumerate(sorted(set(new.values())))}
-            new = {e: (poset.degree(e), codes[s]) for e, s in new.items()}
-            if new == sig:
-                break
-            sig = new
-        return sig
-
-    psig, qsig = refine(p), refine(q)
-    if sorted(psig.values()) != sorted(qsig.values()):
-        return False
-    q_by_sig = {}
-    for e, s in qsig.items():
-        q_by_sig.setdefault(s, []).append(e)
-
-    # order so each element lands next to already-placed cover-neighbours;
-    # a layer-by-layer order would defer all constraints and backtrack badly
-    neighbors = {
-        e: set(p.upper_covers(e)) | set(p.lower_covers(e)) for e in p.elements()
-    }
-    p_order = []
-    placed = set()
-    remaining = set(p.elements())
-    while remaining:
-        nxt = min(
-            remaining,
-            key=lambda e: (
-                -len(neighbors[e] & placed),
-                len(q_by_sig[psig[e]]),
-                e,
-            ),
-        )
-        p_order.append(nxt)
-        placed.add(nxt)
-        remaining.discard(nxt)
-
-    mapping = {}
-    used = set()
-
-    def compatible(e, f):
-        f_up = set(q.upper_covers(f))
-        for u in p.upper_covers(e):
-            if u in mapping and mapping[u] not in f_up:
-                return False
-        f_down = set(q.lower_covers(f))
-        for d in p.lower_covers(e):
-            if d in mapping and mapping[d] not in f_down:
-                return False
-        # cover counts already matched through signatures
-        return True
-
-    def search(i):
-        if i == len(p_order):
-            return True
-        e = p_order[i]
-        for f in q_by_sig[psig[e]]:
-            if f in used or not compatible(e, f):
-                continue
-            mapping[e] = f
-            used.add(f)
-            if search(i + 1):
-                return True
-            del mapping[e]
-            used.discard(f)
-        return False
-
-    if not search(0):
-        return False
-    # verify covers transport exactly
-    pcov = {(mapping[a], mapping[b]) for a, b in p.covers()}
-    return pcov == set(map(tuple, q.covers()))

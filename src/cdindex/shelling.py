@@ -44,26 +44,22 @@ class QuasiConvexIndex:
     boundary: CdPolynomial
 
 
-def semisuspend(poset, allow_complete=False):
+def semisuspend(poset):
     """Complete a quasi-convex poset by one new maximal element covering
-    exactly the boundary coatoms.
-
-    A complete input (empty boundary) is rejected unless ``allow_complete``,
-    in which case it is returned unchanged.
-    """
+    exactly the boundary coatoms.  A complete input (empty boundary) is
+    rejected."""
     bnd = boundary_of(poset)
     if bnd.poset is None:
-        if allow_complete:
-            return poset
         raise ValueError("input is complete (empty boundary)")
     if not is_gorenstein_star(bnd.poset):
         raise ValueError("input is not quasi-convex")
-    return _semisuspension(poset)
+    return _semisuspension(poset, bnd)
 
 
-def _semisuspension(poset):
-    """semisuspend's completion, without its checks: the boundary must be
-    nonempty and Gorenstein*."""
+def _semisuspension(poset, bnd):
+    """semisuspend's completion, without its checks: ``bnd`` is the poset's
+    boundary_of, nonempty and Gorenstein*.  Its members of degree n-1 are
+    the boundary coatoms."""
     n = poset.rank
     new_id = "s*"
     while new_id in poset:
@@ -71,9 +67,7 @@ def _semisuspension(poset):
     degrees = {e: poset.degree(e) for e in poset.elements()}
     degrees[new_id] = n
     covers = list(poset.covers())
-    for e in poset.elements_of_degree(n - 1):
-        if len(poset.upper_covers(e)) == 1:
-            covers.append((e, new_id))
+    covers += [(e, new_id) for e in bnd.members if degrees[e] == n - 1]
     covers.append((new_id, poset.top))
     return GradedPoset(n, degrees, covers)
 
@@ -97,7 +91,7 @@ def _quasiconvex_index(poset, bnd):
     if bnd.poset is None:
         return QuasiConvexIndex(cd_index_flag(poset), CdPolynomial.zero())
     boundary_ix = cd_index_flag(bnd.poset)
-    interior = cd_index_flag(_semisuspension(poset)) - boundary_ix * _C
+    interior = cd_index_flag(_semisuspension(poset, bnd)) - boundary_ix * _C
     return QuasiConvexIndex(interior, boundary_ix)
 
 

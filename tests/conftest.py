@@ -53,6 +53,97 @@ def relabeled(p, rng):
     return GradedPoset(p.rank, degrees, covers)
 
 
+def is_isomorphic(p, q):
+    """Poset isomorphism by signature refinement plus backtracking.
+
+    Intended for the small posets of the tests (a few hundred elements);
+    the refinement by (degree, cover-degree) signatures usually leaves little
+    for the search to do.
+    """
+    if p.rank != q.rank or len(p) != len(q):
+        return False
+
+    def refine(poset):
+        sig = {e: (poset.degree(e),) for e in poset.elements()}
+        for _ in range(len(poset)):
+            new = {}
+            for e in poset.elements():
+                ups = sorted(sig[u] for u in poset.upper_covers(e))
+                downs = sorted(sig[d] for d in poset.lower_covers(e))
+                new[e] = (sig[e], tuple(ups), tuple(downs))
+            # compress to small hashable tokens
+            codes = {s: i for i, s in enumerate(sorted(set(new.values())))}
+            new = {e: (poset.degree(e), codes[s]) for e, s in new.items()}
+            if new == sig:
+                break
+            sig = new
+        return sig
+
+    psig, qsig = refine(p), refine(q)
+    if sorted(psig.values()) != sorted(qsig.values()):
+        return False
+    q_by_sig = {}
+    for e, s in qsig.items():
+        q_by_sig.setdefault(s, []).append(e)
+
+    # order so each element lands next to already-placed cover-neighbours;
+    # a layer-by-layer order would defer all constraints and backtrack badly
+    neighbors = {
+        e: set(p.upper_covers(e)) | set(p.lower_covers(e)) for e in p.elements()
+    }
+    p_order = []
+    placed = set()
+    remaining = set(p.elements())
+    while remaining:
+        nxt = min(
+            remaining,
+            key=lambda e: (
+                -len(neighbors[e] & placed),
+                len(q_by_sig[psig[e]]),
+                e,
+            ),
+        )
+        p_order.append(nxt)
+        placed.add(nxt)
+        remaining.discard(nxt)
+
+    mapping = {}
+    used = set()
+
+    def compatible(e, f):
+        f_up = set(q.upper_covers(f))
+        for u in p.upper_covers(e):
+            if u in mapping and mapping[u] not in f_up:
+                return False
+        f_down = set(q.lower_covers(f))
+        for d in p.lower_covers(e):
+            if d in mapping and mapping[d] not in f_down:
+                return False
+        # cover counts already matched through signatures
+        return True
+
+    def search(i):
+        if i == len(p_order):
+            return True
+        e = p_order[i]
+        for f in q_by_sig[psig[e]]:
+            if f in used or not compatible(e, f):
+                continue
+            mapping[e] = f
+            used.add(f)
+            if search(i + 1):
+                return True
+            del mapping[e]
+            used.discard(f)
+        return False
+
+    if not search(0):
+        return False
+    # verify covers transport exactly
+    pcov = {(mapping[a], mapping[b]) for a, b in p.covers()}
+    return pcov == set(map(tuple, q.covers()))
+
+
 def polygon_minus_facet(k=4):
     """polygon(k) with one maximal cone removed: the standard quasi-convex
     but non-complete example."""

@@ -181,14 +181,12 @@ def test_criterion_08_eulerian_gate():
     for _ in range(20):
         k = rng.randint(3, 8)
         f = flag_f(polygon(k))
-        entries = dict(f.entries)
+        terms = dict(f.terms)
         s = random.Random(rng.random()).choice(
             [frozenset({1}), frozenset({2}), frozenset({1, 2})]
         )
-        entries[s] = entries.get(s, 0) + rng.choice([1, -1])
-        perturbed = flag_h(
-            type(f)(n=f.n, entries=entries)
-        )
+        terms[s] = terms.get(s, 0) + rng.choice([1, -1])
+        perturbed = flag_h(SubsetPolynomial(f.n, terms))
         try:
             to_cd(perturbed)
             ok = False

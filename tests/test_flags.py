@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cdindex.cdpoly import CdPolynomial, NotACdPolynomial, SubsetPolynomial, phi_expand
 from cdindex.flags import (
-    FlagVector,
     _subsets,
     cd_index_flag,
     flag_f,
@@ -53,7 +52,7 @@ def _flag_h_by_subsets(f):
         tl = sorted(t)
         for mask in range(1 << len(tl)):
             s = frozenset(tl[i] for i in range(len(tl)) if mask >> i & 1)
-            acc += (-1) ** (len(t) - len(s)) * f.entries.get(s, 0)
+            acc += (-1) ** (len(t) - len(s)) * f.terms.get(s, 0)
         if acc:
             terms[t] = acc
     return SubsetPolynomial(f.n, terms)
@@ -71,19 +70,19 @@ def test_flag_f_pyramid_matches_enumeration():
     assert f.get([1]) == 5 and f.get([2]) == 8 and f.get([3]) == 5
     assert f.get([1, 2]) == 16 and f.get([2, 3]) == 16 and f.get([1, 3]) == 16
     assert f.get([1, 2, 3]) == 32
-    assert f.entries == brute_force_flag_f(pyr)
+    assert f.terms == brute_force_flag_f(pyr)
 
 
 def test_flag_f_matches_enumeration_on_corpus():
     for p in [polygon(5), simplex_fan(3), cube_fan(3), chain(2)]:
-        assert flag_f(p).entries == brute_force_flag_f(p)
+        assert flag_f(p).terms == brute_force_flag_f(p)
 
 
 def test_flag_f_counts_barycentric_degrees():
     for p in [polygon(4), build_pyramid(polygon(3))]:
         f = flag_f(p)
         b = barycentric(p)
-        for s, value in f.entries.items():
+        for s, value in f.terms.items():
             if s:
                 got = sum(1 for e, t in b.typeset.items() if t == s)
                 assert got == value
@@ -93,19 +92,19 @@ def test_flag_f_counts_barycentric_degrees():
 @given(st.randoms(use_true_random=False))
 def test_flag_f_matches_enumeration_oracle(rnd):
     p = random_graded_poset(rnd, max_rank=5, max_width=3)
-    assert flag_f(p).entries == brute_force_flag_f(p)
+    assert flag_f(p).terms == brute_force_flag_f(p)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(st.randoms(use_true_random=False))
 def test_flag_h_matches_subset_oracle(rnd):
-    # flag vectors of random posets, and arbitrary integer vectors with
-    # missing and zero entries up to n = 7
+    # flag vectors of random posets, and arbitrary integer subset data with
+    # missing terms up to n = 7
     p = random_graded_poset(rnd, max_rank=5)
     f = flag_f(p)
     assert flag_h(f) == _flag_h_by_subsets(f)
     n = rnd.randint(0, 7)
-    g = FlagVector(
+    g = SubsetPolynomial(
         n, {s: rnd.randint(-3, 3) for s in _subsets(n) if rnd.random() < 0.7}
     )
     h = flag_h(g)
@@ -117,7 +116,7 @@ def test_flag_vector_json():
     f = flag_f(polygon(3))
     assert f.to_json() == {
         "n": 2,
-        "entries": {"": 1, "1": 3, "2": 3, "1,2": 6},
+        "terms": {"": 1, "1": 3, "2": 3, "1,2": 6},
     }
 
 

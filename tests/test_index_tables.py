@@ -1,6 +1,7 @@
-"""The comparability tables of IndexData (below, above, layer_start) against
-the bitmasks they are decoded from, their laziness, and the three cd-index
-routes that read them against the independent oracles of their test files."""
+"""The comparability tables of IndexData (below, above) and its layer starts
+against the bitmasks they are decoded from, the tables' laziness, and the three
+cd-index routes that read them against the independent oracles of their test
+files."""
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +62,7 @@ def test_tables_match_the_masks(p):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(POSETS)
 def test_routes_match_their_oracles(p):
-    assert flag_f(p).entries == brute_force_flag_f(p)
+    assert flag_f(p).terms == brute_force_flag_f(p)
     try:
         expected = _cd_index_stanley_per_element(p)
     except NonIntegralResult as exc:
@@ -76,7 +77,7 @@ def test_routes_match_their_oracles(p):
 
 
 def _built(ix):
-    return {name for name in ("below", "above", "layer_start") if name in vars(ix)}
+    return {name for name in ("below", "above") if name in vars(ix)}
 
 
 def test_tables_are_built_only_when_read():
@@ -87,9 +88,9 @@ def test_tables_are_built_only_when_read():
     assert p.index_data() is ix
     assert _built(ix) == set()
     cd_index_flag(p)
-    assert _built(ix) == {"below", "layer_start"}
+    assert _built(ix) == {"below"}
     cd_index_operator(p)
-    assert _built(ix) == {"below", "above", "layer_start"}
+    assert _built(ix) == {"below", "above"}
 
 
 def test_tables_are_decoded_once(monkeypatch):

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdindex import poset as pm
 from cdindex.flags import flag_f
+from cdindex.homology import _interval_complex
 from cdindex.poset import (
     GradedPoset,
     InvalidPoset,
@@ -16,7 +19,6 @@ from cdindex.poset import (
     ideal,
     induced_subposet,
     is_eulerian,
-    is_isomorphic,
     mobius,
     polygon,
     simplex_fan,
@@ -25,7 +27,7 @@ from cdindex.poset import (
     strict_ideal,
 )
 
-from conftest import random_graded_poset, relabeled
+from conftest import is_isomorphic, random_graded_poset, relabeled
 
 
 def degree_counts(p):
@@ -153,6 +155,27 @@ def test_mobius_values():
     assert mobius(chain(2), "_bot", "_top") == 0
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        st.randoms(use_true_random=False).map(
+            lambda rnd: random_graded_poset(rnd, max_rank=4, max_width=3)
+        ),
+        st.sampled_from(
+            [polygon(5), simplex_fan(3), cube_fan(3), crosspoly_fan(3), chain(3)]
+            + [build_pyramid(polygon(4)), barycentric(polygon(3)).bposet]
+        ),
+    )
+)
+def test_mobius_is_reduced_euler_characteristic(p):
+    # P. Hall's theorem (Stanley, Enumerative Combinatorics I, Prop. 3.8.5):
+    # mu(x, y) is the reduced Euler characteristic of the order complex of
+    # the open interval (x, y)
+    for x in p.elements():
+        for y in p.up_set(x)[1:]:
+            assert mobius(p, x, y) == _interval_complex(p, x, y).reduced_euler()
+
+
 def test_eulerian():
     assert is_eulerian(polygon(3))
     assert is_eulerian(polygon(9))
@@ -250,7 +273,7 @@ def test_chain_count_matches_flag_f(p, count):
     )
     assert len(set(chains)) == len(chains) == count
     # f_S counts the chains with degree set S, the empty chain included
-    assert sum(flag_f(p).entries.values()) == count
+    assert sum(flag_f(p).terms.values()) == count
     # B(P) has one element per chain, plus its fresh top
     assert len(barycentric(p).bposet) - 1 == count
 

@@ -4,12 +4,12 @@ from cdindex.cdpoly import CdPolynomial
 from cdindex.flags import cd_index_flag
 from cdindex.homology import is_quasi_convex
 from cdindex.poset import (
+    GradedPoset,
     build_pyramid,
     chain,
     crosspoly_fan,
     cube_fan,
     induced_subposet,
-    is_isomorphic,
     polygon,
     simplex_fan,
 )
@@ -24,7 +24,13 @@ from cdindex.shelling import (
     shelling_sum,
 )
 
-from conftest import manifold_controls, polygon_minus_facet, pyramid_without_apex_star
+from conftest import (
+    is_isomorphic,
+    manifold_controls,
+    minus_facet,
+    polygon_minus_facet,
+    pyramid_without_apex_star,
+)
 
 
 def single_ray():
@@ -44,7 +50,36 @@ def test_semisuspend_complete_flag():
     p = polygon(5)
     with pytest.raises(ValueError):
         semisuspend(p)
-    assert semisuspend(p, allow_complete=True) is p
+
+
+def _semisuspension_by_cover_count(p):
+    """The completion with its coatoms found by the former rule: the
+    degree n-1 elements with exactly one upper cover."""
+    n = p.rank
+    new_id = "s*"
+    while new_id in p:
+        new_id += "*"
+    degrees = {e: p.degree(e) for e in p.elements()} | {new_id: n}
+    covers = list(p.covers())
+    covers += [
+        (e, new_id)
+        for e in p.elements_of_degree(n - 1)
+        if len(p.upper_covers(e)) == 1
+    ]
+    covers.append((new_id, p.top))
+    return GradedPoset(n, degrees, covers)
+
+
+def test_semisuspend_matches_cover_count_rule():
+    cube, simplex = cube_fan(3), simplex_fan(4)
+    for p in [
+        polygon_minus_facet(4),
+        single_ray(),
+        pyramid_without_apex_star(),
+        minus_facet(cube, cube.elements_of_degree(3)[0]),
+        minus_facet(simplex, simplex.elements_of_degree(4)[0]),
+    ]:
+        assert semisuspend(p).dumps() == _semisuspension_by_cover_count(p).dumps()
 
 
 def test_semisuspend_rejects_bad_input():
