@@ -53,6 +53,51 @@ def _cap(name, default):
         raise CliError(f"bad {name} value {raw!r}", EXIT_BAD_INPUT)
 
 
+def check_caps(source, elements, rank=None):
+    """Raise a CliError (exit 2) when a poset from ``source`` would have
+    more elements than CDINDEX_MAX_ELEMENTS or, unless ``rank`` is None, a
+    rank above CDINDEX_MAX_RANK; the message names the variable to raise."""
+    for name, default, size, what in (
+        ("CDINDEX_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, elements, "{} elements"),
+        ("CDINDEX_MAX_RANK", DEFAULT_MAX_RANK, rank, "rank {}"),
+    ):
+        if size is not None and size > (cap := _cap(name, default)):
+            raise CliError(
+                f"{source} has {what.format(size)}, over the cap {cap} "
+                f"(raise {name} to override)",
+                EXIT_BAD_INPUT,
+            )
+
+
+# element count and rank of build_family(kind, n), in closed form; exponents
+# stop at 64, so a huge n costs no big power, and past it the count is a
+# lower bound, still over every cap a machine can hold
+_FAMILY_SIZES = {
+    "polygon": lambda n: (2 * n + 2, 2),
+    "simplex_fan": lambda n: (2 ** min(n + 1, 64), n),
+    "cube_fan": lambda n: (3 ** min(n, 64) + 1, n),
+    "crosspoly_fan": lambda n: (3 ** min(n, 64) + 1, n),
+    "chain": lambda n: (n + 2, n),
+}
+
+
+def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
+    """build_family(kind, n), then its pyramid and its barycentric
+    subdivision as asked, once check_caps passes the closed-form size of the
+    member or its pyramid: a pyramid has twice its base's elements and
+    rank + 1.  The chain count of a subdivision is not checked."""
+    if kind in _FAMILY_SIZES:
+        elements, rank = _FAMILY_SIZES[kind](n)
+        name = f"{kind}({n})"
+        if pyramid:
+            elements, rank, name = 2 * elements, rank + 1, f"pyramid({name})"
+        check_caps(name, elements, rank if rank_cap else None)
+    p = build_family(kind, n)
+    if pyramid:
+        p = build_pyramid(p)
+    return barycentric(p).bposet if subdivide else p
+
+
 def load_input(path):
     try:
         with open(path) as fh:
@@ -61,22 +106,9 @@ def load_input(path):
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT)
-    cap = _cap("CDINDEX_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
-    rank_cap = _cap("CDINDEX_MAX_RANK", DEFAULT_MAX_RANK)
     try:
         poset_mod.check_json_shape(data)
-        if len(data["elements"]) > cap:
-            raise CliError(
-                f"{path} has {len(data['elements'])} elements, over the cap {cap} "
-                "(raise CDINDEX_MAX_ELEMENTS to override)",
-                EXIT_BAD_INPUT,
-            )
-        if data["rank"] > rank_cap:
-            raise CliError(
-                f"{path} has rank {data['rank']}, over the cap {rank_cap} "
-                "(raise CDINDEX_MAX_RANK to override)",
-                EXIT_BAD_INPUT,
-            )
+        check_caps(path, len(data["elements"]), data["rank"])
         return poset_mod.from_json(data)
     except (InvalidPoset, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path} is not a valid poset: {exc}", EXIT_BAD_INPUT)
@@ -84,11 +116,9 @@ def load_input(path):
 
 def cmd_gen(args):
     try:
-        p = build_family(args.kind, args.param)
-        if args.pyramid:
-            p = build_pyramid(p)
-        if args.barycentric:
-            p = barycentric(p).bposet
+        # no rank cap: rank drives the work of compute, not of gen, so gen
+        # may write a file that compute refuses
+        p = _build(args.kind, args.param, args.pyramid, args.barycentric, False)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     text = p.dumps()
@@ -230,7 +260,9 @@ def cmd_shell(args):
 def parse_corpus(text):
     """Corpus grammar: comma-separated entries
     polygons:A..B | simplex_fan:A..B | cube_fan:A..B | crosspoly_fan:A..B |
-    chain:A[..B] | pyramid:KIND:PARAM | barycentric:KIND:PARAM."""
+    chain:A[..B] | pyramid:KIND:PARAM | barycentric:KIND:PARAM.  Each
+    member, or the base of a barycentric one, is held to both caps before
+    it is built."""
     members = []
     for token in text.split(","):
         token = token.strip()
@@ -239,14 +271,8 @@ def parse_corpus(text):
         parts = token.split(":")
         try:
             if parts[0] in ("pyramid", "barycentric"):
-                kind, param = parts[1], int(parts[2])
-                base = build_family(kind, param)
-                p = (
-                    build_pyramid(base)
-                    if parts[0] == "pyramid"
-                    else barycentric(base).bposet
-                )
-                members.append((token, p))
+                kind, n, pyramid = parts[1], int(parts[2]), parts[0] == "pyramid"
+                members.append((token, _build(kind, n, pyramid, not pyramid)))
                 continue
             family = {"polygons": "polygon"}.get(parts[0], parts[0])
             rng = parts[1]
@@ -256,7 +282,7 @@ def parse_corpus(text):
             else:
                 values = [int(rng)]
             for v in values:
-                members.append((f"{family}:{v}", build_family(family, v)))
+                members.append((f"{family}:{v}", _build(family, v)))
         except (IndexError, ValueError, KeyError) as exc:
             raise CliError(f"bad corpus entry {token!r}: {exc}", EXIT_BAD_INPUT)
     if not members:

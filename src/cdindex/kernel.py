@@ -1,21 +1,29 @@
 """Exact rank of sparse integer matrices, and rank over GF(2) of 0/1 rows.
 
-One elimination over the rationals with integer bookkeeping, in Python
-integers of unbounded size: each update is row <- a*row - b*pivot_row with
-a, b integers and a != 0, rows are kept primitive by content division, so
-ranks are exact.  Pivots favour columns of low fill and unit entries (rows
-with a single entry eliminate for free, which lets sphere-like boundary
-matrices cascade away cheaply).
+One elimination serves both fields: the column reduction of boundary
+matrices (H. Edelsbrunner, D. Letscher and A. Zomorodian, "Topological
+persistence and simplification", Discrete Comput. Geom. 28, 2002).  Each
+column is the boundary of a cell, and its pivot is its last nonzero row.
+A column is reduced against the basis column with the same pivot until its
+pivot is new, when it joins the basis, or it vanishes; the rank is the size
+of the basis.
 
-rank_mod2 takes each row as a Python int whose set bits are the columns of
-its 1 entries, and eliminates by XOR.  The rank of an integer matrix over
-GF(2) is at most its rank over the rationals (an odd minor is nonzero), so
-rank_mod2 of the entries taken mod 2 is a lower bound on sparse_rank.
+sparse_rank works over the rationals, in Python integers of unbounded size,
+so ranks are exact.  Each step is col <- a*col - b*pivot_col, where a and b
+are the pivot-row entries of pivot_col and col divided by their gcd, signed
+so that a > 0: a pivot entry of +-1 gives a = 1 and needs no scaling.
+Dividing a column by the gcd of its entries (its content) changes no rank;
+it only keeps the entries small.
+
+rank_mod2 takes each boundary as a Python int whose set bits are its 1
+entries, pivots on the leading bit and reduces by XOR.  The rank of
+an integer matrix over GF(2) is at most its rank over the rationals (an odd
+minor is nonzero), so rank_mod2 of the entries taken mod 2 is a lower bound
+on sparse_rank.
 """
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 
 IMPL = "pure"
@@ -24,88 +32,37 @@ IMPL = "pure"
 def sparse_rank(entries):
     """Rank over the rationals of the integer matrix given as (row, col, val)
     triples; duplicate positions are summed."""
-    rows = {}
-    for r, c, v in entries:
-        if v:
-            row = rows.setdefault(r, {})
-            row[c] = row.get(c, 0) + v
     cols = {}
-    for r in list(rows):
-        row = rows[r]
-        for c in [c for c, v in row.items() if not v]:
-            del row[c]
-        if not row:
-            del rows[r]
-            continue
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-
-    heap = [(len(rs), c) for c, rs in cols.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        cnt, c = heapq.heappop(heap)
-        rs = cols.get(c)
-        if rs is None:
-            continue
-        if len(rs) != cnt:
-            heapq.heappush(heap, (len(rs), c))
-            continue
-        pr = min(rs, key=lambda r: (abs(rows[r][c]) != 1, len(rows[r]), r))
-        prow = rows[pr]
-        pv = prow[c]
-        touched = set()
-        for r in list(rs):
-            if r == pr:
-                continue
-            row = rows[r]
-            rv = row.pop(c)
-            g = gcd(pv, rv)
-            a = pv // g
-            b = rv // g
+    for r, c, v in entries:
+        col = cols.setdefault(c, {})
+        col[r] = col.get(r, 0) + v
+    basis = {}  # last nonzero row -> the one reduced column ending there
+    for col in cols.values():
+        col = {r: v for r, v in col.items() if v}
+        while col:
+            low = max(col)
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = col
+                break
+            pv, cv = pivot[low], col[low]
+            g = gcd(pv, cv) if pv > 0 else -gcd(pv, cv)  # signed so that a > 0
+            a, b = pv // g, cv // g
             if a != 1:
-                for k in row:
-                    row[k] *= a
-            for cc, vv in prow.items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, 0) - b * vv
+                for r in col:
+                    col[r] *= a
+            for r, v in pivot.items():
+                nv = col.get(r, 0) - b * v
                 if nv:
-                    if cc not in row:
-                        cols[cc].add(r)
-                        touched.add(cc)
-                    row[cc] = nv
+                    col[r] = nv
                 else:
-                    if cc in row:
-                        del row[cc]
-                        cols[cc].discard(r)
-                        touched.add(cc)
-            if row:
-                content = 0
-                for vv in row.values():
-                    content = gcd(content, vv)
-                    if content == 1:
-                        break
+                    del col[r]
+            if a != 1:
+                content = gcd(*col.values())
                 if content > 1:
-                    for k in row:
-                        row[k] //= content
-            else:
-                del rows[r]
-        for cc in prow:
-            if cc != c:
-                cols[cc].discard(pr)
-                touched.add(cc)
-        del rows[pr]
-        del cols[c]
-        rank += 1
-        for cc in touched:
-            rs2 = cols.get(cc)
-            if rs2 is not None:
-                if rs2:
-                    heapq.heappush(heap, (len(rs2), cc))
-                else:
-                    del cols[cc]
-    return rank
+                    for r in col:
+                        col[r] //= content
+    return len(basis)
 
 
 def rank_mod2(rows):

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from cdindex.cli import main
+from cdindex import poset as poset_mod
+from cdindex.cli import _FAMILY_SIZES, main
 
 
 def run(capsys, *argv):
@@ -217,6 +219,51 @@ def test_max_rank_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CDINDEX_MAX_RANK", "26")
     code, out, _ = run(capsys, "check", "--input", path, "--what", "eulerian")
     assert code == 1 and json.loads(out) == {"eulerian": False}
+
+
+@pytest.mark.parametrize("kind", sorted(poset_mod._FAMILIES))
+def test_family_sizes_match_builders(kind):
+    # the closed forms the caps are checked on, against what gets built
+    for n in range({"polygon": 3}.get(kind, 1), 6):
+        p = poset_mod.build_family(kind, n)
+        assert _FAMILY_SIZES[kind](n) == (len(p.elements()), p.rank)
+        q = poset_mod.build_pyramid(p)
+        assert (2 * len(p.elements()), p.rank + 1) == (len(q.elements()), q.rank)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "cube_fan", "30"),
+         "cube_fan(30) has 205891132094650 elements, over the cap 20000 "
+         "(raise CDINDEX_MAX_ELEMENTS to override)"),
+        (("gen", "cube_fan", "10"), "cube_fan(10) has 59050 elements"),
+        (("gen", "simplex_fan", "14", "--pyramid", "--barycentric"),
+         "pyramid(simplex_fan(14)) has 65536 elements"),
+        (("report", "--corpus", "chain:40"),
+         "chain(40) has rank 40, over the cap 16 (raise CDINDEX_MAX_RANK to override)"),
+        (("report", "--corpus", "polygons:3..4,chain:17"), "chain(17) has rank 17"),
+        (("report", "--corpus", "pyramid:cube_fan:9"),
+         "pyramid(cube_fan(9)) has 39368 elements"),
+        (("report", "--corpus", "barycentric:crosspoly_fan:20"),
+         "crosspoly_fan(20) has 3486784402 elements"),
+    ],
+)
+def test_oversized_families_exit_before_building(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and message in err
+
+
+def test_gen_writes_past_the_rank_cap_only(capsys, monkeypatch):
+    # gen does the work of the element count, not of the rank
+    monkeypatch.setenv("CDINDEX_MAX_RANK", "2")
+    code, out, _ = run(capsys, "gen", "chain", "5")
+    assert code == 0 and json.loads(out)["rank"] == 5
+    monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", "7")
+    code, out, err = run(capsys, "gen", "chain", "6")
+    assert code == 2 and out == "" and "chain(6) has 8 elements" in err
 
 
 def test_gen_deterministic(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdindex import kernel
+from cdindex.homology import SimplicialComplex
 
 
 def dense_fraction_rank(entries, nrows, ncols):
@@ -30,6 +31,15 @@ def dense_fraction_rank(entries, nrows, ncols):
     return rank
 
 
+def assert_rank_matches_oracle(entries, nrows, ncols):
+    """sparse_rank equals the Fraction oracle, on the matrix and on its
+    transpose: the reduction works by column, so the transpose sends the
+    other side of the matrix through it."""
+    expected = dense_fraction_rank(entries, nrows, ncols)
+    assert kernel.sparse_rank(entries) == expected
+    assert kernel.sparse_rank([(c, r, v) for r, c, v in entries]) == expected
+
+
 def random_entries(rng, nrows, ncols, density, lo=-3, hi=3):
     entries = []
     for r in range(nrows):
@@ -45,6 +55,7 @@ def test_empty_and_trivial():
     assert kernel.sparse_rank([]) == 0
     assert kernel.sparse_rank([(0, 0, 5)]) == 1
     assert kernel.sparse_rank([(0, 0, 1), (0, 0, -1)]) == 0  # duplicates sum
+    assert kernel.sparse_rank([(1, 1, 0)]) == 0
 
 
 def test_known_small():
@@ -52,6 +63,10 @@ def test_known_small():
     assert kernel.sparse_rank(entries) == 1
     entries = [(0, 0, 2), (1, 1, 3), (2, 2, -4)]
     assert kernel.sparse_rank(entries) == 3
+    # the second column cancels to zero against the first
+    assert kernel.sparse_rank([(0, 0, 1), (1, 0, 1), (0, 1, 2), (1, 1, 2)]) == 1
+    # and here it reduces to 2 e_0, a new pivot
+    assert kernel.sparse_rank([(0, 0, 1), (1, 0, -1), (0, 1, 3), (1, 1, -1)]) == 2
 
 
 def test_matches_fraction_oracle(rng):
@@ -59,8 +74,7 @@ def test_matches_fraction_oracle(rng):
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
         entries = random_entries(rng, nrows, ncols, rng.choice([0.15, 0.4, 0.8]))
-        expected = dense_fraction_rank(entries, nrows, ncols)
-        assert kernel.sparse_rank(entries) == expected
+        assert_rank_matches_oracle(entries, nrows, ncols)
 
 
 def test_implementations_agree_on_structured_matrices(rng):
@@ -75,15 +89,13 @@ def test_implementations_agree_on_structured_matrices(rng):
             entries += [
                 (r, c, 1 if i % 2 == 0 else -1) for i, r in enumerate(supp)
             ]
-        expected = dense_fraction_rank(entries, nrows, ncols)
-        assert kernel.sparse_rank(entries) == expected
+        assert_rank_matches_oracle(entries, nrows, ncols)
 
 
 def test_larger_values(rng):
     for _ in range(20):
         entries = random_entries(rng, 8, 8, 0.5, lo=-50, hi=50)
-        expected = dense_fraction_rank(entries, 8, 8)
-        assert kernel.sparse_rank(entries) == expected
+        assert_rank_matches_oracle(entries, 8, 8)
 
 
 def test_impl_is_pure():
@@ -107,8 +119,35 @@ def test_big_int_products_during_elimination(rng):
             for c in range(ncols):
                 v = rng.randint(1, 5) * big + rng.randint(-4, 4)
                 entries.append((r, c, v))
-        expected = dense_fraction_rank(entries, nrows, ncols)
-        assert kernel.sparse_rank(entries) == expected
+        assert_rank_matches_oracle(entries, nrows, ncols)
+
+
+@st.composite
+def simplicial_boundaries(draw):
+    """The boundary matrices of a random simplicial complex, random facets on
+    at most 8 vertices, as (entries, rows, cols) with the signs
+    reduced_homology uses: dropping vertex i of a sorted face has sign
+    (-1)^i, and the vertices map to the empty face."""
+    n = draw(st.integers(1, 8))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))
+    faces = SimplicialComplex(facets).faces_by_dim()
+    out = []
+    for k in range(1, len(faces)):
+        index = {face: i for i, face in enumerate(faces[k - 1])}
+        entries = [
+            (index[face[:i] + face[i + 1 :]], j, (-1) ** i)
+            for j, face in enumerate(faces[k])
+            for i in range(len(face))
+        ]
+        out.append((entries, len(faces[k - 1]), len(faces[k])))
+    return out
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(simplicial_boundaries())
+def test_boundary_ranks_match_oracle(boundaries):
+    for entries, nrows, ncols in boundaries:
+        assert_rank_matches_oracle(entries, nrows, ncols)
 
 
 def dense_rank_mod2(matrix):
