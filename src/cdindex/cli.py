@@ -10,6 +10,7 @@ for identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -277,8 +278,10 @@ def parse_corpus(text):
             family = {"polygons": "polygon"}.get(parts[0], parts[0])
             rng = parts[1]
             if ".." in rng:
-                lo, hi = rng.split("..")
-                values = range(int(lo), int(hi) + 1)
+                lo, hi = map(int, rng.split(".."))
+                if lo > hi:
+                    raise ValueError(f"reversed range {lo}..{hi}")
+                values = range(lo, hi + 1)
             else:
                 values = [int(rng)]
             for v in values:
@@ -325,7 +328,10 @@ def cmd_report(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared by every later
+    one in the process; main dispatches on the command name."""
     parser = argparse.ArgumentParser(
         prog="cdindex",
         description="cd-index computations and certifications for graded posets",
@@ -339,7 +345,6 @@ def build_parser():
     g.add_argument("--barycentric", action="store_true",
                    help="take the barycentric subdivision (after --pyramid)")
     g.add_argument("--out", help="output path (default stdout)")
-    g.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("compute", help="compute the cd-index")
     c.add_argument("--input", required=True)
@@ -349,13 +354,11 @@ def build_parser():
     c.add_argument("--trace", action="store_true",
                    help="print every intermediate function of the operator "
                         "evaluation, one block per cd-monomial")
-    c.set_defaults(func=cmd_compute)
 
     k = sub.add_parser("check", help="run a certification")
     k.add_argument("--input", required=True)
     k.add_argument("--what", required=True,
                    choices=("eulerian", "gorenstein-star", "duality", "quasi-convex"))
-    k.set_defaults(func=cmd_check)
 
     s = sub.add_parser("shell", help="evaluate a shelling order or Pi split")
     s.add_argument("--input", required=True)
@@ -363,19 +366,19 @@ def build_parser():
     group.add_argument("--order", nargs="+", help="facet ids in shelling order")
     group.add_argument("--pi", nargs="+", help="coatom ids forming Pi")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_shell)
 
     r = sub.add_parser("report", help="tabulate a corpus")
     r.add_argument("--corpus", default=DEFAULT_CORPUS)
     r.add_argument("--json", action="store_true")
-    r.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when called, not stored in the parser, so a cmd_*
+        # function replaced on the module after the first call still runs
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

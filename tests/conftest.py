@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -326,3 +327,34 @@ def minus_facet(p, facet):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+# a per-test limit, so a search or elimination that never ends fails its
+# test instead of hanging the suite; the slowest test takes under 10 s
+TEST_TIME_LIMIT_S = 300
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S.  Not an Exception,
+    so neither the code under test nor hypothesis catches it and runs the
+    hanging example again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Arm a SIGALRM timer for each test; does nothing where the platform
+    has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

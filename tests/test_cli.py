@@ -3,12 +3,17 @@ import time
 
 import pytest
 
+from cdindex import cli
 from cdindex import poset as poset_mod
 from cdindex.cli import _FAMILY_SIZES, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one main call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -198,6 +203,11 @@ def test_report_json_deterministic(capsys):
 def test_report_bad_corpus(capsys):
     code, _, err = run(capsys, "report", "--corpus", "dodecahedra:1..2")
     assert code == 2
+    # a reversed range is an error, not an empty member list
+    for corpus in ("polygons:5..3,chain:2", "chain:4..2"):
+        code, out, err = run(capsys, "report", "--corpus", corpus)
+        assert code == 2 and out == "" and "bad corpus entry" in err
+        assert "reversed range" in err
 
 
 def test_max_elements_cap(tmp_path, capsys, monkeypatch):
@@ -300,3 +310,33 @@ def test_malformed_json_shape_exits_2(tmp_path, capsys, body):
     for argv in (["compute"], ["check", "--what", "eulerian"]):
         code, out, err = run(capsys, *argv, "--input", str(path))
         assert code == 2 and out == "" and "not a valid poset" in err
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    polygon = gen(tmp_path, capsys, "polygon", "4")
+    pyramid = gen(tmp_path, capsys, "polygon", "4", "--pyramid")
+    # each pair sets an option, then leaves it out or takes another branch
+    sequence = [
+        ["compute", "--input", polygon, "--method", "flag"],
+        ["compute", "--input", polygon],
+        ["shell", "--input", polygon, "--order", "f1", "f2", "f3", "f4"],
+        ["shell", "--input", pyramid, "--pi", "b:f1", "b:f2", "a:r3", "a:r4", "b:f4"],
+        ["check", "--input", polygon, "--what", "nothing"],
+        ["check", "--input", polygon, "--what", "eulerian"],
+        ["report", "--corpus", "polygons:3..4"],
+        ["report"],
+    ]
+    reused = [run(capsys, *argv) for argv in sequence]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0]
+
+
+def test_dispatch_reads_the_module_at_call_time(tmp_path, capsys, monkeypatch):
+    path = gen(tmp_path, capsys, "polygon", "4")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.what) or 7)
+    code, out, _ = run(capsys, "check", "--input", path, "--what", "eulerian")
+    assert (code, out, seen) == (7, "", ["eulerian"])
