@@ -16,82 +16,109 @@ So P is Gorenstein* exactly when every open interval (x, y), x < y, has the
 rational homology of S^(deg y - deg x - 2), and is_gorenstein_star checks
 intervals, not faces.
 
-Cellular route.  One signing of the covers serves every interval.  Atoms
-get eps = {bottom: 1}, and each element y of degree >= 2, in increasing
-index order, gets eps[y]: a +-1 vector on its lower covers, found by
-propagating signs across ridges (elements two degrees below y) so that the
-terms of every 2-chain w < c < y cancel.  Propagation needs each ridge in
-exactly two facets and the facets joined across ridges with consistent
-signs.  A Gorenstein* poset has this for every y, since (bottom, y) is a
-sphere, so a y without it ends the check.  The signing also proves that
-every interval of length two has exactly two middle elements, so the
-intervals with deg y - deg x = 2 are S^0 with no further work.
+Thin check.  An interval of length two is S^0 when it has exactly two
+middle elements.  _is_thin checks that for every such interval at once, from
+the cover masks: for each y of degree >= 2 it folds the masks
+down[c] & layers[deg y - 2] of the lower covers c of y into the elements hit
+once and those hit twice, and fails on a third hit or on an element hit only
+once.  So the intervals with deg y - deg x = 2 need no further work, and
+every element two degrees above another lies on exactly two 2-chains
+between them.
 
-For a base x, the elements z of [x, y) are the cells of a chain complex: z
-has dimension deg z - deg x - 1, x is the (-1)-cell, and the boundary of z
-is eps[z] restricted to the cells.  This is a valid boundary: for w two
-degrees below z, every 2-chain w < c < z lies in [x, z], so its terms still
-cancel.  The restricted eps[z] has +-1 entries, so it is a nonzero top cycle
-of (x, z), which spans the one-dimensional top cycles once (x, z) is a
-sphere; that is all the filtration argument below asks of it.
+Cellular complexes.  For a base x, the elements z of [x, y) are the cells
+of a chain complex: z has dimension deg z - deg x - 1 and x is the
+(-1)-cell.  Over GF(2) the boundary of z is the sum of its lower covers in
+[x, y), so the row of z is the mask down[z] restricted to the level below;
+it is a boundary since every w two degrees below z lies on exactly two
+2-chains w < c < z, all inside [x, z] (the thin check).  It is the sum of
+the facets of (x, z), so a nonzero top cycle of (x, z) over GF(2).  Over Q
+the boundary needs signs, one signing of the covers for every interval:
+atoms get eps = {bottom: 1}, and each element y of degree >= 2, in
+increasing index order, gets eps[y], a +-1 vector on its lower covers,
+found by propagating signs across ridges (elements two degrees below y) so
+that the terms of every 2-chain w < c < y cancel (_sign_covers).
+Propagation needs each ridge in exactly two facets and the facets joined
+across ridges with consistent signs.  A Gorenstein* poset has this for
+every y, since (bottom, y) is a sphere, so a y without it ends the check.
+Restricted to [x, z], eps[z] still cancels on every 2-chain, and it is a
+nonzero top cycle of (x, z) over Q.
 
-Bases are processed in decreasing degree and the elements y above a base in
-increasing degree, so when (x, y) is examined every (w, z) with w > x, and
-every (x, z) with z < y, is already certified.  Every link in Delta(x, y) is
-a join of such intervals, so for d = deg y - deg x - 2 >= 1, Delta(x, y) is
-a closed rational homology d-manifold.  The restricted eps[y] is a d-cycle
-that is nonzero on every facet, so every component is orientable.  Two
-checks remain:
-- ranks: with r_k the rank of the boundary from dimension k to k-1, the
-  reduced Betti number b_k is |C_k| - r_k - r_(k+1), and r_0 = 1.  The
-  rank r_1 makes b_0 = 0, so Delta(x, y) is connected; a connected,
-  orientable, closed homology d-manifold has b_d = 1 and, by Poincare
-  duality over Q (J. R. Munkres, "Elements of Algebraic Topology", 1984),
-  b_k = b_(d-k).  So b_0 .. b_m with m = (d-1) // 2, from r_1 .. r_(m+1),
-  settle every b_k, 0 <= k < d, except the middle one for even d: an
-  interval of dimension d takes at most (d + 1) // 2 ranks.  They are
-  taken in increasing k, each level of cells built only when its rank is,
-  and the first k with |C_(k-1)| != r_(k-1) + r_k ends the walk.  The
-  ranks are taken over GF(2), by kernel.rank_mod2: every entry of eps is
-  +-1, so the row of z is its lower-cover mask restricted to the cells,
-  with no signs.  r_1 is exact there, since a 1-cell has two vertices (the
-  signing), so its boundary is the incidence matrix of a graph, of rank
-  |C_0| minus the number of components over any field.  The others are
-  sound because a matrix's rank over GF(2) is at most its rank over Q,
-  while the restricted eps is an integer chain complex, so b_k = |C_k| -
-  r_k - r_(k+1) >= 0 with the rational ranks; when |C_k| = r_k + r_(k+1)
-  holds for k = 0 .. m with the GF(2) ranks, it holds with the rational
-  ones.  An interval that GF(2) leaves open, by 2-torsion (RP^3) or by a
-  real failure, is checked again, at its first GF(2) deficit, by its exact
-  homology: _cellular_homology takes every rank of the signed matrices
-  from kernel.sparse_rank;
-- Euler characteristic: for even d, the alternating cell count
-  sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.  It needs
-  no rank, so it comes first; for odd d it is not taken.
-Intervals with d < 1 need neither check, so the loop over the y above a
-base x never reaches them: indices follow degree order, and the y with
-d >= 1 are the bits of up[x] from the first index of degree deg x + 3 on.
-So the signs of eps serve the orientability argument and the exact
-homology; a passing interval needs only cover masks.  Arithmetic is in
-integers only, and matrix sides are element counts, not chain counts.
-
-Why the cellular complex computes the homology of Delta(x, y).  Filter the
-order complex by the degree of a chain's largest element.  The layer for z
-is the cone over Delta(x, z) with apex z, relative to Delta(x, z), whose
-homology is that of Delta(x, z) shifted up by one.  When every (x, z) with
-z < y is a homology sphere of dimension deg z - deg x - 2, each layer is
-concentrated in the single degree deg z - deg x - 1, so the E^1 page of the
-spectral sequence sits in one row, it collapses at E^2, and E^2 is the
-homology of the complex (E^1, d^1).  Over a field there is no extension
-problem.  The true d^1(z) is the image of the fundamental class of
+Why the cellular complex computes the homology of Delta(x, y), over a field
+F, when every (x, z) with z < y is an F-homology sphere of dimension
+deg z - deg x - 2.  Filter the order complex by the degree of a chain's
+largest element.  The layer for z is the cone over Delta(x, z) with apex z,
+relative to Delta(x, z), whose homology is that of Delta(x, z) shifted up by
+one, so it is concentrated in the single degree deg z - deg x - 1.  The E^1
+page of the spectral sequence sits in one row, it collapses at E^2, and E^2
+is the homology of the complex (E^1, d^1).  Over a field there is no
+extension problem.  The true d^1(z) is the image of the fundamental class of
 Delta(x, z), a nonzero vector in the same one-dimensional cycle space as the
 chosen boundary of z, so the two complexes differ by a diagonal change of
 basis and have the same homology.  The argument uses homology only, so
-rational homology spheres that are not topological spheres (the Poincare
-homology sphere, or RP^3, whose integral homology has torsion) are covered
-too: nothing needs the cells to be topological balls.
-The construction is the one for CW posets in A. Bjorner, "Posets, regular
-CW complexes and Bruhat order", Europ. J. Combin. 5 (1984).
+homology spheres that are not topological spheres (the Poincare homology
+sphere, or RP^3 over Q) are covered too: nothing needs the cells to be
+topological balls.  The construction is the one for CW posets in
+A. Bjorner, "Posets, regular CW complexes and Bruhat order", Europ. J.
+Combin. 5 (1984).
+
+Order of the walk.  Bases are processed in decreasing degree and the
+elements y above a base in increasing degree, so when (x, y) is examined
+every (w, z) with w > x, and every (x, z) with z < y, is already certified.
+Every link in Delta(x, y) is a join of such intervals, so for
+d = deg y - deg x - 2 >= 1, Delta(x, y) is a closed homology d-manifold over
+any field its proper subintervals are homology spheres over.  Intervals
+with d < 1 need no check past the thin one, so the loop over the y above a
+base x never reaches them: indices follow degree order, and the y with
+d >= 1 are the bits of up[x] from the first index of degree deg x + 3 on.
+With r_k the rank of the boundary from dimension k to k-1, the reduced
+Betti number b_k is |C_k| - r_k - r_(k+1), and r_0 = 1.  Two checks
+decide an interval:
+- ranks: r_1 makes b_0 = 0, so Delta(x, y) is connected; a connected closed
+  homology d-manifold that is orientable over the field has b_d = 1 and, by
+  Poincare duality, b_k = b_(d-k).  So b_0 .. b_m with m = (d-1) // 2, from
+  r_1 .. r_(m+1), settle every b_k, 0 <= k < d, except the middle one for
+  even d: an interval of dimension d takes at most (d + 1) // 2 ranks.
+  They are taken in increasing k, each level of cells built only when its
+  rank is, and the first k with |C_(k-1)| != r_(k-1) + r_k, a deficit, ends
+  the walk over GF(2).  r_1 is the rank of a graph's incidence matrix,
+  |C_0| minus the number of components, over any field: every vertex v lies
+  on an edge, since (v, y) is a nonempty sphere, and every edge has exactly
+  two vertices (the thin check), so every component has two vertices or
+  more, and when |C_0| <= 3 there is one: r_1 = |C_0| - 1, with no rank
+  taken;
+- Euler characteristic: for even d, the alternating cell count
+  sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.  It needs
+  no rank, so it comes first; for odd d it is not taken.
+
+Z/2 route, up to the first deficit.  The walk starts with no signing.  As
+long as no interval has shown a deficit, every interval certified so far is
+a Z/2 homology sphere, so Delta(x, y) is a closed Z/2 homology d-manifold,
+and over Z/2 every such manifold is orientable: Poincare duality and
+"connected implies b_d = 1" hold with no orientation (J. R. Munkres,
+"Elements of Algebraic Topology", 1984, sections 63-65).  The ranks are
+kernel.rank_mod2 of the cover masks, so an interval without a deficit that
+passes the Euler test is a Z/2 homology sphere.  By the universal
+coefficient theorem it is a Q homology sphere as well: H_k(Delta; Z/2) = 0
+for k < d forces H_k(Delta; Z) (x) Z/2 = 0, so H_k has rank 0 there, and
+the Euler characteristic gives b_d = 1 over Q.  A passing poset is
+certified from cover masks alone, with no signing and no exact rank.
+
+Q route, from the first deficit on.  The first interval that GF(2) leaves
+open, by 2-torsion (RP^3) or by a real failure, signs the covers, once; a
+poset with an element that has no signing fails.  That interval and every
+later one are checked over Q, as they would be from a signing made up front:
+its proper subintervals are Q homology spheres, so Delta(x, y) is a closed
+rational homology d-manifold, and the restricted eps[y] is a d-cycle that
+is nonzero on every facet, so every component is orientable.  The GF(2)
+ranks stay sound there, since the GF(2) rows are the signed rows mod 2, a
+matrix's rank over GF(2) is at most its rank over Q, and b_k >= 0 over Q in
+the integer chain complex of eps; so when |C_k| = r_k + r_(k+1) holds for
+k = 0 .. m with the GF(2) ranks, it holds with the rational ones.  At a
+deficit the interval takes its homology from _cellular_homology, which
+falls back on every rank of the signed matrices from kernel.sparse_rank
+when the GF(2) ranks leave a Betti number below the top (see Failing
+certificates).  Arithmetic is in integers only, and matrix sides are
+element counts, not chain counts.
 
 Failing certificates.  The certificate of a failure names the first face,
 in the order of dimension and then sorted vertex ids, whose link misses the
@@ -103,16 +130,21 @@ fails exactly when one of its gaps (a, b) fails.  The face of a and b alone,
 without the bottom and the top, then fails too, and it is no longer.  So
 the first failing face has at most two elements, and _certify_by_gaps walks
 only (), each {x} and each comparable {x, y}.  The homology of a gap (x, y)
-is that of its cellular complex, from every exact rank, when every (x, z),
-z < y, is a sphere with a top cycle eps[z] (the filtration argument above),
-and that of its order complex otherwise; gaps are memoized.  The face
-search over every chain of the order complex is the test oracle, in
-tests/conftest.py, as reduced_homology + link are for it.
+is that of its cellular complex over Q when every (x, z), z < y, is a
+sphere with a top cycle eps[z] (the filtration argument above), and that
+of its order complex otherwise; gaps are memoized.  The cellular ranks are
+taken over GF(2) first: the GF(2) Betti numbers bound the rational ones
+from above, and when they vanish below the top dimension the Euler
+characteristic makes the top ones equal, so the profiles agree; only
+otherwise are the ranks exact.  The face search over every chain of the
+order complex is the test oracle, in tests/conftest.py, as
+reduced_homology + link are for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import kernel
@@ -341,29 +373,32 @@ def is_gorenstein_star(poset):
     the module docstring); the certificate of a pass holds the homology of
     S^(rank-1).  When an interval fails, the certificate names the first
     face (ordered by dimension, then by sorted vertex ids) whose link misses
-    the sphere profile, and that link's homology.  The covers are signed
-    once, and both steps share the signing.
+    the sphere profile, and that link's homology.  The covers are signed at
+    most once, only when GF(2) ranks leave an interval open or the poset
+    fails, and both steps share the signing.
     """
-    eps = _sign_covers(poset.index_data())
-    if _intervals_are_spheres(poset, eps):
+    ix = poset.index_data()
+    signing = cache(lambda: _sign_covers(ix))
+    if _intervals_are_spheres(poset, signing):
         return GorensteinCertificate(
             True, None, HomologyProfile.sphere(poset.rank - 1)
         )
-    return _certify_by_gaps(poset, eps)
+    return _certify_by_gaps(poset, signing())
 
 
-def _intervals_are_spheres(poset, eps):
+def _intervals_are_spheres(poset, signing):
     """True when every open interval (x, y) is a rational homology sphere of
-    dimension deg y - deg x - 2; False at the first interval that is not, or
-    when some element y has no +-1 top cycle of (bottom, y) (see the module
-    docstring).  ``eps`` is the poset's cover signing, from _sign_covers."""
+    dimension deg y - deg x - 2; False at the first interval that is not
+    (see the module docstring).  ``signing()`` returns the poset's cover
+    signing, from _sign_covers; it is called only at the first interval
+    that GF(2) ranks leave open."""
     ix = poset.index_data()
-    down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
-    if None in eps:
+    if not _is_thin(ix):
         return False
+    down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
     start, last = ix.layer_start, poset.rank + 2
     # Only the y with d = deg y - deg x - 2 >= 1 need work (S^-1 and, by the
-    # signing, S^0 hold already).  Indices follow degree order, so these y
+    # thin check, S^0 hold already).  Indices follow degree order, so these y
     # are the bits of up[x] from layer_start[deg x + 3] on, the first index
     # of degree deg x + 3; past the top degree, layer_start[rank + 2] is the
     # element count, which leaves none.
@@ -374,9 +409,28 @@ def _intervals_are_spheres(poset, eps):
         s = start[min(base + 3, last)]
         for y in _bits(upx >> s << s):
             if not _acyclic_below_top(
-                upx & down[y], base, deg[y] - base - 2, layers, down, eps
+                upx & down[y], base, deg[y] - base - 2, layers, down, signing
             ):
                 return False
+    return True
+
+
+def _is_thin(ix):
+    """True when every interval [w, y] with deg y - deg w = 2 has exactly two
+    middle elements: the masks down[c] & layers[deg y - 2] of the lower
+    covers c of y hit each element two degrees below y exactly twice."""
+    down, layers, deg = ix.down, ix.layers, ix.deg
+    for y in range(ix.layer_start[2], len(deg)):
+        ridges = layers[deg[y] - 2]
+        once = twice = 0
+        for c in ix.cov_down[y]:
+            hit = down[c] & ridges
+            if twice & hit:
+                return False
+            twice |= once & hit
+            once |= hit
+        if once != twice:
+            return False
     return True
 
 
@@ -429,12 +483,11 @@ def _top_cycle(facets, boundary):
     return sign if len(sign) == len(facets) else None
 
 
-def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
+def _acyclic_below_top(cells, base_deg, d, layers, down, signing):
     """Whether the cellular complex of [x, y) has no reduced homology in
-    dimensions 0 .. d-1, given that Delta(x, y) is an orientable closed
-    homology d-manifold; ``cells`` is the mask of [x, y], deg x is
-    ``base_deg`` and the boundary of a cell z is ``eps[z]`` restricted to
-    ``cells``.
+    dimensions 0 .. d-1, given that Delta(x, y) is a closed homology
+    d-manifold and every interval before it passed; ``cells`` is the mask of
+    [x, y] and deg x is ``base_deg``.
 
     With r_k the rank of the boundary from dimension k to k-1, Betti number
     k is |C_k| - r_k - r_(k+1), and r_0 = 1.  b_0 = 0 makes Delta(x, y)
@@ -447,15 +500,16 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     the first k where b_(k-1) = |C_(k-1)| - r_(k-1) - r_k is not 0.
 
     The ranks are taken over GF(2), where the row of z is its lower-cover
-    mask ``down[z]`` restricted to the level below, since every entry of
-    eps is +-1.  r_1 is exact there: a 1-cell has two vertices, so its
-    boundary is a graph's incidence matrix, of rank |C_0| minus the number
-    of components over any field.  Any GF(2) rank is at most the rational one,
-    and the restricted eps is an integer chain complex, so b_k >= 0 over Q;
-    when the GF(2) ranks already give |C_k| = r_k + r_(k+1) for k = 0 .. m,
-    the rational ranks do too.  Only an interval that GF(2) leaves open
-    (2-torsion, as in RP^3, or a real failure) takes its exact homology
-    from _cellular_homology, at its first GF(2) deficit.
+    mask ``down[z]`` restricted to the level below.  r_1 is a graph's
+    incidence rank, |C_0| minus the number of components, and every
+    component has two vertices or more, so r_1 = |C_0| - 1 with no rank
+    taken when |C_0| <= 3.  Up to the first deficit the duality is the one
+    over Z/2, which needs no orientation.  At a deficit (2-torsion, as in
+    RP^3, or a real failure) ``signing()`` gives the cover signing, made
+    on its first call; without one the interval fails, and with one it
+    takes its rational homology from _cellular_homology.  From then on the
+    signing orients every later interval, and a GF(2) pass there is a
+    rational pass (see the module docstring).
     """
     # the cells of degree t, cells & layers[t], are C_(t - base_deg - 1)
     if d % 2 == 0:
@@ -468,33 +522,51 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, eps):
     below = cells & layers[base_deg + 1]
     r_below = 1
     for t in range(base_deg + 2, base_deg + (d - 1) // 2 + 3):
-        level = cells & layers[t]
-        r = kernel.rank_mod2([down[z] & below for z in _bits(level)])
-        if below.bit_count() != r_below + r:
-            return _cellular_homology(cells, base_deg, d, layers, eps).is_sphere(d)
+        level, size = cells & layers[t], below.bit_count()
+        if t == base_deg + 2 and size <= 3:
+            r = size - 1
+        else:
+            r = kernel.rank_mod2([down[z] & below for z in _bits(level)])
+        if size != r_below + r:
+            eps = signing()
+            return None not in eps and _cellular_homology(
+                cells, base_deg, d, layers, down, eps
+            ).is_sphere(d)
         below, r_below = level, r
     return True
 
 
-def _cellular_homology(cells, base_deg, d, layers, eps):
+def _cellular_homology(cells, base_deg, d, layers, down, eps):
     """Reduced rational homology of Delta(x, y) from the cellular complex of
-    [x, y), with every rank exact (kernel.sparse_rank on the signed
-    matrices); the arguments are those of _acyclic_below_top.  Valid when
-    every (x, z), z < y, is a sphere of dimension deg z - deg x - 2 and
-    every eps[z] comes from the signing (see the module docstring)."""
+    [x, y); the arguments are those of _acyclic_below_top, with the signing
+    ``eps`` itself.  Valid when every (x, z), z < y, is a sphere of
+    dimension deg z - deg x - 2 and every eps[z] comes from the signing (see
+    the module docstring).  The ranks over GF(2) of the cover masks come
+    first, and they stand when they leave no Betti number below the top
+    dimension: GF(2) Betti numbers bound the rational ones from above, and
+    the Euler characteristic then makes the top ones equal.  Otherwise
+    every rank is exact, kernel.sparse_rank on the signed matrices."""
     # levels[k] holds the cells of dimension k - 1, from x up to deg y - 1
     levels = [cells & layers[base_deg + k] for k in range(d + 2)]
-    ranks = [0] * (d + 3)
-    for k in range(1, d + 2):
-        ranks[k] = kernel.sparse_rank([
-            (w, z, a)
-            for z in _bits(levels[k])
-            for w, a in eps[z].items()
-            if cells >> w & 1
-        ])
-    return HomologyProfile(
-        levels[k].bit_count() - ranks[k] - ranks[k + 1] for k in range(d + 2)
-    )
+
+    def betti(rank):
+        # rank(below, level): the rank of the boundary from level to below
+        ranks = [0, *map(rank, levels, levels[1:]), 0]
+        return [
+            levels[k].bit_count() - ranks[k] - ranks[k + 1] for k in range(d + 2)
+        ]
+
+    mod2 = betti(lambda below, level: kernel.rank_mod2(
+        [down[z] & below for z in _bits(level)]
+    ))
+    if not any(mod2[:-1]):
+        return HomologyProfile(mod2)
+    return HomologyProfile(betti(lambda below, level: kernel.sparse_rank([
+        (w, z, a)
+        for z in _bits(level)
+        for w, a in eps[z].items()
+        if below >> w & 1
+    ])))
 
 
 def _certify_by_gaps(poset, eps):
@@ -506,8 +578,8 @@ def _certify_by_gaps(poset, eps):
     module docstring).  A link's profile is the convolution of its gaps'
     profiles, each memoized.  A gap (x, y) takes _cellular_homology when
     every (x, z), z < y, is a sphere with a top cycle eps[z], and the order
-    complex of (x, y) otherwise.  ``eps`` is the poset's cover signing,
-    from _sign_covers.
+    complex of (x, y) otherwise.  ``eps`` is the poset's cover signing, from
+    _sign_covers.
     """
     ix = poset.index_data()
     ids = poset.elements()
@@ -523,7 +595,9 @@ def _certify_by_gaps(poset, eps):
                 for z in _bits(cells & ~(1 << x | 1 << y))
             )
             memo[x, y] = (
-                _cellular_homology(cells, deg[x], deg[y] - deg[x] - 2, layers, eps)
+                _cellular_homology(
+                    cells, deg[x], deg[y] - deg[x] - 2, layers, down, eps
+                )
                 if spheres
                 else reduced_homology(_interval_complex(poset, ids[x], ids[y]))
             )

@@ -1,4 +1,5 @@
 import itertools
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from cdindex.homology import (
     SimplicialComplex,
     _acyclic_below_top,
     _intervals_are_spheres,
+    _is_thin,
     _sign_covers,
     _top_cycle,
     boundary_of,
@@ -364,8 +366,10 @@ def test_is_quasi_convex():
 
 
 def _spheres(poset):
-    """_intervals_are_spheres with the poset's own cover signing."""
-    return _intervals_are_spheres(poset, _sign_covers(poset.index_data()))
+    """_intervals_are_spheres with the poset's own cover signing, made on
+    first use."""
+    ix = poset.index_data()
+    return _intervals_are_spheres(poset, cache(lambda: _sign_covers(ix)))
 
 
 def _intervals_are_spheres_per_pair(poset):
@@ -502,6 +506,56 @@ def test_intervals_are_spheres_matches_per_pair_oracle(p):
     assert _spheres(p) == _intervals_are_spheres_per_pair(p)
 
 
+def _thin_per_pair(poset):
+    """Whether every x < y with deg y - deg x = 2 has exactly two elements
+    between them, pair by pair."""
+    ix = poset.index_data()
+    up, down, deg = ix.up, ix.down, ix.deg
+    return all(
+        (up[x] & down[y]).bit_count() == 4
+        for x in range(len(deg))
+        for y in _bits(up[x])
+        if deg[y] - deg[x] == 2
+    )
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.one_of(
+        ORACLE_INPUTS,
+        st.randoms(use_true_random=False).map(
+            lambda rnd: random_graded_poset(rnd, max_rank=4, max_width=3)
+        ),
+    )
+)
+def test_thin_check_matches_per_pair_oracle(p):
+    assert _is_thin(p.index_data()) == _thin_per_pair(p)
+
+
+def two_digons():
+    """Rank 2: two disjoint digons, each two vertices joined by two edges.
+    It is Eulerian and thin, but its proper part is two circles."""
+    edges = {"e1": "ab", "e2": "ab", "e3": "cd", "e4": "cd"}
+    degrees = {"_bot": 0, "_top": 3} | dict.fromkeys("abcd", 1)
+    degrees |= dict.fromkeys(edges, 2)
+    covers = [("_bot", v) for v in "abcd"]
+    covers += [(v, e) for e, ends in edges.items() for v in ends]
+    covers += [(e, "_top") for e in edges]
+    return GradedPoset(2, degrees, covers)
+
+
+def test_two_disjoint_digons_are_rejected():
+    # the whole (bottom, top) has four vertices in two components: r_1 = 2,
+    # so the vertex-count shortcut r_1 = |C_0| - 1 must not reach it
+    p = two_digons()
+    assert is_eulerian(p) and _is_thin(p.index_data())
+    assert not _spheres(p)
+    assert not _intervals_are_spheres_per_pair(p)
+    cert = is_gorenstein_star(p).to_json()
+    assert cert == {"gorenstein_star": False, "failing_face": [], "betti": [0, 1, 2]}
+    assert cert == _certify_by_faces(p).to_json()
+
+
 def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
     """The test of _acyclic_below_top with every rank from ``rank`` on the
     signed entries: kernel.sparse_rank gives the exact test, the oracle, and
@@ -547,16 +601,20 @@ def test_mod2_acceptance_implies_exact_acceptance(p):
     # one
     seen = []
 
-    def checked(cells, base_deg, d, layers, down, eps):
-        got = _acyclic_below_top(cells, base_deg, d, layers, down, eps)
-        args = (cells, base_deg, d, layers, eps)
-        seen.append(
-            (
-                _acyclic_below_top_exact(*args, _entries_rank_mod2),
-                _acyclic_below_top_exact(*args, kernel.sparse_rank),
-                got,
+    def checked(cells, base_deg, d, layers, down, signing):
+        got = _acyclic_below_top(cells, base_deg, d, layers, down, signing)
+        eps = signing()
+        # the signed tests need a signing; a poset without one fails at its
+        # first GF(2) deficit, if not before
+        if None not in eps:
+            args = (cells, base_deg, d, layers, eps)
+            seen.append(
+                (
+                    _acyclic_below_top_exact(*args, _entries_rank_mod2),
+                    _acyclic_below_top_exact(*args, kernel.sparse_rank),
+                    got,
+                )
             )
-        )
         return got
 
     with mock.patch("cdindex.homology._acyclic_below_top", checked):
@@ -605,17 +663,26 @@ def test_manifold_controls_are_rejected(name, monkeypatch):
 
 
 def test_passing_spheres_need_no_exact_rank(monkeypatch):
-    rank, calls = kernel.sparse_rank, []
+    # nor a signing of the covers: GF(2) certifies them from the masks alone
+    import cdindex.homology as homology
+
+    rank, sign, calls, signings = kernel.sparse_rank, homology._sign_covers, [], []
 
     def counting(entries):
         calls.append(entries)
         return rank(entries)
 
+    def signing(ix):
+        signings.append(ix)
+        return sign(ix)
+
     monkeypatch.setattr(kernel, "sparse_rank", counting)
+    monkeypatch.setattr(homology, "_sign_covers", signing)
     for p in [build_pyramid(simplex_fan(5)), simplex_fan(7), cube_fan(5),
               crosspoly_fan(5)]:
         assert is_gorenstein_star(p)
     assert calls == []
+    assert signings == []
 
 
 def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
@@ -626,10 +693,10 @@ def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
 
     check, seen = homology._acyclic_below_top, []
 
-    def spy(cells, base_deg, d, layers, down, eps):
+    def spy(cells, base_deg, d, layers, down, signing):
         # cells is the mask of [x, y]: x is its lowest bit and y its highest
         seen.append(((cells & -cells).bit_length() - 1, cells.bit_length() - 1, d))
-        return check(cells, base_deg, d, layers, down, eps)
+        return check(cells, base_deg, d, layers, down, signing)
 
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
     for p in [build_pyramid(simplex_fan(5)), simplex_fan(6), cube_fan(5),
@@ -730,8 +797,26 @@ def test_failing_certificates_need_no_order_complex(monkeypatch):
         assert is_gorenstein_star(p).to_json() == cert
 
 
+def test_ball_certificates_need_no_exact_rank(monkeypatch):
+    # every gap of a simplex fan minus a facet has GF(2) Betti numbers that
+    # vanish below its top, so the certificate takes no exact rank (316 and
+    # 763 calls when every gap took exact ranks)
+    rank, calls = kernel.sparse_rank, []
+
+    def counting(entries):
+        calls.append(entries)
+        return rank(entries)
+
+    monkeypatch.setattr(kernel, "sparse_rank", counting)
+    for n in (6, 7):
+        assert is_gorenstein_star(_minus_first_facet(simplex_fan(n))).to_json() == BALL
+    assert calls == []
+
+
 def test_failing_certificate_signs_the_covers_once(monkeypatch):
-    # the interval check and the certificate share one signing
+    # the interval check and the certificate share one signing, made at the
+    # first GF(2) deficit or for the certificate; a passing sphere makes none
+    # unless GF(2) leaves an interval open (RP^3)
     import cdindex.homology as homology
 
     calls = []
@@ -742,11 +827,19 @@ def test_failing_certificate_signs_the_covers_once(monkeypatch):
         return sign(ix)
 
     monkeypatch.setattr(homology, "_sign_covers", counted)
-    for p, want in [
-        (_minus_first_facet(simplex_fan(4)), BALL),
-        (face_poset(TORUS_7), BALL | {"betti": [0, 0, 2, 1]}),
-        (simplex_fan(4), {"gorenstein_star": True, "failing_face": None, "betti": [0, 0, 0, 0, 1]}),
+    sphere = lambda n: {"gorenstein_star": True, "failing_face": None,
+                        "betti": [0] * n + [1]}
+    for p, want, signings in [
+        (_minus_first_facet(simplex_fan(4)), BALL, 1),
+        (face_poset(TORUS_7), BALL | {"betti": [0, 0, 2, 1]}, 1),
+        (face_poset(RP2_6), BALL, 1),
+        (chain(3), BALL, 1),
+        (two_digons(), BALL | {"betti": [0, 1, 2]}, 1),
+        (antipodal_quotient(crosspoly_fan(4)), sphere(4), 1),
+        (simplex_fan(4), sphere(4), 0),
+        (build_pyramid(cube_fan(3)), sphere(4), 0),
+        (polygon(5), sphere(2), 0),
     ]:
         calls.clear()
         assert is_gorenstein_star(p).to_json() == want
-        assert len(calls) == 1
+        assert len(calls) == signings
