@@ -7,11 +7,21 @@ t-substitution of Bayer and Klapper, "A new index for polytopes", 1991).
 For Eulerian posets the h-data is the image of a unique cd-polynomial,
 recovered by cdpoly.to_cd, which peels the t-substitution one letter at a
 time with additions only, in O(2^n) for rank n.
+
+flag_f packs a whole vector of chain counts into one integer, W bits per
+slot (Kronecker substitution; D. Harvey, J. Symbolic Comput. 2009), so that
+adding two vectors is one integer addition.  Slot layout: the count for the
+degree set S sits in slot mask(S) = sum of 2^(a-1) over a in S, i.e. at bit
+W * mask(S).  Width: every f_S is at most the product of |layer a| over a
+in S, hence at most the product over all layers, and W is that product's
+bit length rounded up to whole bytes.  Counts are never negative, so the
+slots decode with one ``to_bytes`` and one ``from_bytes`` per slot, in
+linear time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from math import prod
 
 from .cdpoly import SubsetPolynomial, phi_expand, to_cd
 
@@ -22,45 +32,46 @@ def _subsets(n):
 
 
 def flag_f(poset):
-    """Flag f-polynomial sum_S f_S t^S, as a SubsetPolynomial, by extending
-    chain counts one degree at a time.
+    """Flag f-polynomial sum_S f_S t^S, as a SubsetPolynomial, by summing
+    packed chain counts up the layers.
 
-    The degree sets are walked depth first.  The chains with degree set S,
-    counted by their top element, extend to S + {b} for b > max S in one
-    step from layer max S to layer b, so every set costs one layer-to-layer
-    step on top of its parent's counts.  A set with no chains ends its
-    branch, since every extension of it has none either.
-
-    The elements below j come from the poset's shared comparability table
-    (``index_data().below``); those of degree a are one slice of it.
+    V_j counts the chains whose top element is j, by degree set, packed into
+    one integer (see the module docstring).  With V = 1 at the bottom (the
+    empty chain), V_j = (sum of V_i over i < j) << W * 2^(deg j - 1), which
+    adds deg j to every degree set, and f is the sum of all V_j.  Elements of
+    degree n are only summed, never stored.  The elements below j come from
+    the poset's shared comparability table (``index_data().below``): its
+    list for j starts at the bottom and ends at j itself.
     """
     n = poset.rank
+    if n == 0:
+        return SubsetPolynomial(0, {frozenset(): 1})
     ix = poset.index_data()
     # indices are sorted by degree: degree d holds start[d] .. start[d+1]-1
     start = ix.layer_start
     flat, offset = ix.below
-    totals = [0] * (1 << n)
-    totals[0] = 1
-
-    def extend(mask, a, counts):
-        # counts[j]: chains with degree set mask whose top element is j
-        total = sum(counts.values())
-        if not total:
-            return
-        totals[mask] = total
-        get = counts.__getitem__
-        lo, hi = start[a], start[a + 1]
-        for b in range(a + 1, n + 1):
-            step = {}
-            for j in range(start[b], start[b + 1]):
-                last = offset[j + 1]
-                first = bisect_left(flat, lo, offset[j], last)
-                step[j] = sum(map(get, flat[first : bisect_left(flat, hi, first, last)]))
-            extend(mask | 1 << (b - 1), b, step)
-
-    for a in range(1, n + 1):
-        extend(1 << (a - 1), a, dict.fromkeys(range(start[a], start[a + 1]), 1))
-    return SubsetPolynomial(n, {s: t for s, t in zip(_subsets(n), totals) if t})
+    # f_S <= prod over a in S of |layer a| <= the product over every layer
+    bound = prod(start[a + 1] - start[a] for a in range(1, n + 1))
+    size = (bound.bit_length() + 7) // 8
+    width = 8 * size
+    # V of the bottom is 1; every other entry is set before it is read
+    vec = [1] * start[n]
+    get = vec.__getitem__
+    for d in range(1, n):
+        shift = width << (d - 1)
+        for j in range(start[d], start[d + 1]):
+            vec[j] = sum(map(get, flat[offset[j] : offset[j + 1] - 1])) << shift
+    top = sum(
+        sum(map(get, flat[offset[j] : offset[j + 1] - 1]))
+        for j in range(start[n], start[n + 1])
+    )
+    packed = sum(vec) + (top << (width << (n - 1)))
+    data = packed.to_bytes(size << n, "little")
+    counts = [
+        int.from_bytes(data[i : i + size], "little")
+        for i in range(0, size << n, size)
+    ]
+    return SubsetPolynomial(n, {s: t for s, t in zip(_subsets(n), counts) if t})
 
 
 def flag_h(f):

@@ -183,12 +183,6 @@ class SimplicialComplex:
     def dim(self):
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def vertices(self):
-        out = set()
-        for f in self.facets:
-            out |= f
-        return out
-
     def faces_by_dim(self):
         """faces_by_dim()[k] lists the k-faces as sorted tuples; k = -1 is
         the empty face (index 0)."""

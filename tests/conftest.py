@@ -1,11 +1,13 @@
 import itertools
 import random
 import signal
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
 
 from cdindex import poset as poset_mod
+from cdindex.cdpoly import CdPolynomial
 from cdindex.homology import (
     GorensteinCertificate,
     HomologyProfile,
@@ -13,7 +15,14 @@ from cdindex.homology import (
     _interval_complex,
     reduced_homology,
 )
-from cdindex.poset import GradedPoset, _chains, induced_subposet, star
+from cdindex.poset import (
+    GradedPoset,
+    _bits,
+    _chains,
+    build_family,
+    induced_subposet,
+    star,
+)
 
 
 def random_graded_poset(rng, max_rank=3, max_width=4):
@@ -318,10 +327,133 @@ def _certify_by_faces(poset):
     return GorensteinCertificate(True, None, interval_profile(poset.bottom, poset.top))
 
 
+def dual(p):
+    """The dual poset: degrees flipped and covers reversed, on the same ids.
+    Its cd-index is the reverse of p's (Stanley, "Flag f-vectors and the
+    cd-index", Math. Z. 1994)."""
+    degrees = {e: p.rank + 1 - p.degree(e) for e in p.elements()}
+    return GradedPoset(p.rank, degrees, [(hi, lo) for lo, hi in p.covers()])
+
+
+def reverse_cd(ix):
+    """The cd-polynomial with every word read backwards."""
+    return CdPolynomial({w[::-1]: v for w, v in ix.terms.items()})
+
+
+def pyramid_derivation(ix):
+    """G(ix) for the derivation G with G(c) = d and G(d) = cd: by Ehrenborg
+    and Readdy ("Coproducts and the cd-index", J. Algebraic Combin. 1998),
+    the pyramid over P has cd-index ix*c + G(ix) when ix is P's."""
+    image = {"c": "d", "d": "cd"}
+    terms = {}
+    for w, v in ix.terms.items():
+        for i, letter in enumerate(w):
+            u = w[:i] + image[letter] + w[i + 1 :]
+            terms[u] = terms.get(u, 0) + v
+    return CdPolynomial(terms)
+
+
 def minus_facet(p, facet):
     """``p`` with the maximal element ``facet`` removed and a top adjoined."""
     members = set(p.elements()) - {p.top, facet}
     return induced_subposet(p, members, adjoin_top=True).poset
+
+
+@st.composite
+def pure_complex_posets(draw):
+    """Face poset of a random pure simplicial complex on at most 7 vertices:
+    random facets, or the mod-2 sum of the boundaries of a few random
+    simplices, where every ridge lies in an even number of facets (spheres,
+    wedges of spheres and other pinched cycles)."""
+    n = draw(st.integers(3, 7))
+    size = draw(st.integers(2, min(4, n - 1)))
+    if draw(st.booleans()):
+        candidates = list(itertools.combinations(range(n), size))
+        facets = draw(
+            st.lists(st.sampled_from(candidates), min_size=1, max_size=16, unique=True)
+        )
+    else:
+        candidates = list(itertools.combinations(range(n), size + 1))
+        simplices = draw(
+            st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True)
+        )
+        facets = set()
+        for simplex in simplices:
+            facets ^= set(itertools.combinations(simplex, size))
+        facets = facets or {simplices[0][:size]}
+    return face_poset(facets)
+
+
+@st.composite
+def product_posets(draw):
+    """Face poset of the product of two small fan members or random graded
+    posets of rank <= 2.  Products of spheres are closed manifolds whose
+    proper intervals are all spheres, so only the checks after the global
+    signing can reject them."""
+    factor = st.one_of(
+        st.tuples(
+            st.sampled_from(["polygon", "simplex_fan", "cube_fan", "crosspoly_fan"]),
+            st.integers(1, 3),
+        ).map(lambda kp: build_family(kp[0], kp[1] + 2 * (kp[0] == "polygon"))),
+        st.randoms(use_true_random=False).map(
+            lambda rnd: random_graded_poset(rnd, max_rank=2, max_width=3)
+        ),
+    )
+    return product_face_poset(draw(factor), draw(factor))
+
+
+@st.composite
+def pinched_posets(draw):
+    """A random sphere's face poset (gorenstein_posets) with two vertices
+    that share no face merged into one: the lower intervals keep their
+    shape, and the merged vertex's upper interval falls into two pieces."""
+    p = draw(gorenstein_posets())
+    ix = p.index_data()
+    ids = p.elements()
+    pairs = [
+        (ids[a], ids[b])
+        for a, b in itertools.combinations(_bits(ix.layers[1]), 2)
+        if (ix.up[a] & ix.up[b]).bit_count() == 1
+    ]
+    if not pairs:
+        return p
+    keep, drop = draw(st.sampled_from(pairs))
+    rename = lambda e: keep if e == drop else e
+    degrees = {e: p.degree(e) for e in ids if e != drop}
+    covers = sorted({(rename(lo), rename(hi)) for lo, hi in p.covers()})
+    return GradedPoset(p.rank, degrees, covers)
+
+
+ORACLE_INPUTS = st.one_of(
+    st.randoms(use_true_random=False).map(
+        lambda rnd: random_graded_poset(rnd, max_rank=5, max_width=4)
+    ),
+    pure_complex_posets(),
+    gorenstein_posets(),
+    product_posets(),
+    pinched_posets(),
+)
+
+
+@cache
+def acceptance_corpus():
+    """The Gorenstein* corpus: fan families, pyramids over them, and
+    barycentric subdivisions of the rank <= 3 members."""
+    members = []
+    for n in range(1, 6):
+        members.append((f"simplex_fan:{n}", poset_mod.simplex_fan(n)))
+    for n in range(1, 5):
+        members.append((f"cube_fan:{n}", poset_mod.cube_fan(n)))
+        members.append((f"crosspoly_fan:{n}", poset_mod.crosspoly_fan(n)))
+    members += [
+        (f"pyramid({name})", poset_mod.build_pyramid(p)) for name, p in list(members)
+    ]
+    members += [
+        (f"barycentric({name})", poset_mod.barycentric(p).bposet)
+        for name, p in list(members)
+        if p.rank <= 3
+    ]
+    return tuple(members)
 
 
 @pytest.fixture

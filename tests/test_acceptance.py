@@ -28,11 +28,8 @@ from cdindex.operators import (
     eval_cd_monomial,
 )
 from cdindex.poset import (
-    barycentric,
     build_pyramid,
     chain,
-    crosspoly_fan,
-    cube_fan,
     is_eulerian,
     mobius,
     polygon,
@@ -43,6 +40,7 @@ from cdindex.shelling import pi_decomposition, shelling_sum
 
 from conftest import (
     _certify_by_faces,
+    acceptance_corpus,
     polygon_minus_facet,
     pyramid_without_apex_star,
     random_graded_poset,
@@ -56,28 +54,9 @@ def report(num, name, ok, seconds=None):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-@lru_cache(maxsize=1)
-def corpus():
-    """The Gorenstein* corpus: fan families, pyramids over them, and
-    barycentric subdivisions of the rank <= 3 members."""
-    members = []
-    for n in range(1, 6):
-        members.append((f"simplex_fan:{n}", simplex_fan(n)))
-    for n in range(1, 5):
-        members.append((f"cube_fan:{n}", cube_fan(n)))
-        members.append((f"crosspoly_fan:{n}", crosspoly_fan(n)))
-    members += [(f"pyramid({name})", build_pyramid(p)) for name, p in list(members)]
-    members += [
-        (f"barycentric({name})", barycentric(p).bposet)
-        for name, p in list(members)
-        if p.rank <= 3
-    ]
-    return tuple(members)
-
-
 @lru_cache(maxsize=None)
 def three_methods(name):
-    p = dict(corpus())[name]
+    p = dict(acceptance_corpus())[name]
     return cd_index_flag(p), cd_index_stanley(p), cd_index_operator(p)
 
 
@@ -112,7 +91,7 @@ def test_criterion_02_polygon_family():
 def test_criterion_03_cn_normalization():
     t0 = time.monotonic()
     ok = True
-    for name, p in corpus():
+    for name, p in acceptance_corpus():
         flag_ix = three_methods(name)[0]
         ok = ok and flag_ix.coefficient("c" * p.rank) == 1
     dt = time.monotonic() - t0
@@ -122,7 +101,7 @@ def test_criterion_03_cn_normalization():
 def test_criterion_04_three_method_agreement():
     t0 = time.monotonic()
     ok = True
-    for name, _ in corpus():
+    for name, _ in acceptance_corpus():
         f, s, o = three_methods(name)
         ok = ok and f == s == o
     dt = time.monotonic() - t0
@@ -131,7 +110,7 @@ def test_criterion_04_three_method_agreement():
 
 def test_criterion_05_nonnegativity():
     ok = True
-    for name, p in corpus():
+    for name, p in acceptance_corpus():
         for ix in three_methods(name):
             ok = ok and all(
                 isinstance(v, int) and v >= 0 for _, v in ix.sorted_terms()
@@ -145,13 +124,13 @@ def test_criterion_05_nonnegativity():
 
 
 def test_criterion_06_poincare_duality():
-    ok = all(verify_duality(p) for _, p in corpus())
+    ok = all(verify_duality(p) for _, p in acceptance_corpus())
     report(6, "Poincare duality", ok)
 
 
 def test_criterion_07_gorenstein_certification():
     t0 = time.monotonic()
-    ok = all(bool(is_gorenstein_star(p)) for _, p in corpus())
+    ok = all(bool(is_gorenstein_star(p)) for _, p in acceptance_corpus())
     for r in (1, 2, 3):
         ok = ok and not is_gorenstein_star(chain(r))
     ok = ok and not is_gorenstein_star(polygon_minus_facet(4))
@@ -165,7 +144,7 @@ def test_certificates_match_face_search():
 
     controls = [chain(r) for r in (1, 2, 3)]
     controls += [polygon_minus_facet(4), pyramid_without_apex_star()]
-    for p in [p for _, p in corpus()] + controls:
+    for p in [p for _, p in acceptance_corpus()] + controls:
         assert is_gorenstein_star(p).to_json() == _certify_by_faces(p).to_json()
 
 

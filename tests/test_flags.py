@@ -1,4 +1,6 @@
 import itertools
+from bisect import bisect_left
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +17,23 @@ from cdindex.flags import (
 )
 from cdindex.operators import cd_index_operator
 from cdindex.poset import (
+    GradedPoset,
     barycentric,
     build_pyramid,
     chain,
+    crosspoly_fan,
     cube_fan,
     polygon,
     simplex_fan,
 )
 from cdindex.recursion import cd_index_stanley
 
-from conftest import gorenstein_posets, random_graded_poset
+from conftest import (
+    ORACLE_INPUTS,
+    acceptance_corpus,
+    gorenstein_posets,
+    random_graded_poset,
+)
 
 
 def brute_force_flag_f(p):
@@ -40,6 +49,39 @@ def brute_force_flag_f(p):
                 if len(s) == k:
                     entries[s] = entries.get(s, 0) + 1
     return entries
+
+
+def _flag_f_by_dicts(poset):
+    """Chain counts extended one degree at a time, on dicts keyed by the top
+    element of the chain: the former library route, kept as the oracle for
+    the packed one.  The degree sets are walked depth first, and a set with
+    no chains ends its branch."""
+    n = poset.rank
+    ix = poset.index_data()
+    start = ix.layer_start
+    flat, offset = ix.below
+    totals = [0] * (1 << n)
+    totals[0] = 1
+
+    def extend(mask, a, counts):
+        # counts[j]: chains with degree set mask whose top element is j
+        total = sum(counts.values())
+        if not total:
+            return
+        totals[mask] = total
+        get = counts.__getitem__
+        lo, hi = start[a], start[a + 1]
+        for b in range(a + 1, n + 1):
+            step = {}
+            for j in range(start[b], start[b + 1]):
+                last = offset[j + 1]
+                first = bisect_left(flat, lo, offset[j], last)
+                step[j] = sum(map(get, flat[first : bisect_left(flat, hi, first, last)]))
+            extend(mask | 1 << (b - 1), b, step)
+
+    for a in range(1, n + 1):
+        extend(1 << (a - 1), a, dict.fromkeys(range(start[a], start[a + 1]), 1))
+    return SubsetPolynomial(n, {s: t for s, t in zip(_subsets(n), totals) if t})
 
 
 def _flag_h_by_subsets(f):
@@ -110,6 +152,47 @@ def test_flag_h_matches_subset_oracle(rnd):
     h = flag_h(g)
     assert h == _flag_h_by_subsets(g)
     assert all(h.terms.values())
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(ORACLE_INPUTS)
+def test_packed_flag_f_matches_dict_oracle(p):
+    assert flag_f(p).terms == _flag_f_by_dicts(p).terms
+
+
+def test_packed_flag_f_matches_dict_oracle_at_scale():
+    # the acceptance corpus, and three fans that no enumeration reaches
+    posets = [p for _, p in acceptance_corpus()]
+    posets += [simplex_fan(9), cube_fan(7), crosspoly_fan(7)]
+    for p in posets:
+        assert flag_f(p).terms == _flag_f_by_dicts(p).terms
+
+
+def ordinal_sum_of_antichains(sizes):
+    """Antichains of these sizes stacked, each element below every element
+    of the next layer: f_S is the product of the sizes of the layers in S."""
+    layers = [[f"x{d}_{i}" for i in range(size)] for d, size in enumerate(sizes, 1)]
+    degrees = {"_bot": 0, "_top": len(sizes) + 1}
+    degrees |= {e: d for d, layer in enumerate(layers, 1) for e in layer}
+    chain_of_layers = [["_bot"]] + layers + [["_top"]]
+    covers = [
+        (lo, hi)
+        for low, high in zip(chain_of_layers, chain_of_layers[1:])
+        for lo in low
+        for hi in high
+    ]
+    return GradedPoset(len(sizes), degrees, covers)
+
+
+# the full set's count, the product of all sizes, fills its slot exactly
+# (255 in one byte, 65535 in two), or needs one bit past a whole byte
+# (256, 65536), so one bit less of slot width or of bound loses it
+@pytest.mark.parametrize(
+    "sizes", [(3, 5, 17), (15, 17, 257), (16, 16), (4, 4, 4, 4), (16, 16, 16, 16)]
+)
+def test_flag_f_at_the_slot_width_bound(sizes):
+    f = flag_f(ordinal_sum_of_antichains(sizes))
+    assert f.terms == {s: prod(sizes[a - 1] for a in s) for s in _subsets(len(sizes))}
 
 
 def test_flag_vector_json():

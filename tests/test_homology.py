@@ -1,4 +1,3 @@
-import itertools
 from functools import cache
 from unittest import mock
 
@@ -28,7 +27,6 @@ from cdindex.poset import (
     GradedPoset,
     _bits,
     barycentric,
-    build_family,
     build_pyramid,
     chain,
     crosspoly_fan,
@@ -42,16 +40,15 @@ from cdindex.operators import cd_index_operator
 from cdindex.recursion import cd_index_stanley
 
 from conftest import (
+    ORACLE_INPUTS,
     RP2_6,
     TORUS_7,
     _certify_by_faces,
     antipodal_quotient,
     face_poset,
-    gorenstein_posets,
     manifold_controls,
     minus_facet,
     polygon_minus_facet,
-    product_face_poset,
     pyramid_without_apex_star,
     random_graded_poset,
     relabeled,
@@ -422,82 +419,6 @@ def _acyclic_below_top_all_ranks(cells, base_deg, d, deg, boundary):
         ranks.append(kernel.sparse_rank(entries))
     ranks.append(len(levels[d]) - 1)
     return all(len(levels[k]) == ranks[k] + ranks[k + 1] for k in range(d))
-
-
-@st.composite
-def pure_complex_posets(draw):
-    """Face poset of a random pure simplicial complex on at most 7 vertices:
-    random facets, or the mod-2 sum of the boundaries of a few random
-    simplices, where every ridge lies in an even number of facets (spheres,
-    wedges of spheres and other pinched cycles)."""
-    n = draw(st.integers(3, 7))
-    size = draw(st.integers(2, min(4, n - 1)))
-    if draw(st.booleans()):
-        candidates = list(itertools.combinations(range(n), size))
-        facets = draw(
-            st.lists(st.sampled_from(candidates), min_size=1, max_size=16, unique=True)
-        )
-    else:
-        candidates = list(itertools.combinations(range(n), size + 1))
-        simplices = draw(
-            st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True)
-        )
-        facets = set()
-        for simplex in simplices:
-            facets ^= set(itertools.combinations(simplex, size))
-        facets = facets or {simplices[0][:size]}
-    return face_poset(facets)
-
-
-@st.composite
-def product_posets(draw):
-    """Face poset of the product of two small fan members or random graded
-    posets of rank <= 2.  Products of spheres are closed manifolds whose
-    proper intervals are all spheres, so only the checks after the global
-    signing can reject them."""
-    factor = st.one_of(
-        st.tuples(
-            st.sampled_from(["polygon", "simplex_fan", "cube_fan", "crosspoly_fan"]),
-            st.integers(1, 3),
-        ).map(lambda kp: build_family(kp[0], kp[1] + 2 * (kp[0] == "polygon"))),
-        st.randoms(use_true_random=False).map(
-            lambda rnd: random_graded_poset(rnd, max_rank=2, max_width=3)
-        ),
-    )
-    return product_face_poset(draw(factor), draw(factor))
-
-
-@st.composite
-def pinched_posets(draw):
-    """A random sphere's face poset (gorenstein_posets) with two vertices
-    that share no face merged into one: the lower intervals keep their
-    shape, and the merged vertex's upper interval falls into two pieces."""
-    p = draw(gorenstein_posets())
-    ix = p.index_data()
-    ids = p.elements()
-    pairs = [
-        (ids[a], ids[b])
-        for a, b in itertools.combinations(_bits(ix.layers[1]), 2)
-        if (ix.up[a] & ix.up[b]).bit_count() == 1
-    ]
-    if not pairs:
-        return p
-    keep, drop = draw(st.sampled_from(pairs))
-    rename = lambda e: keep if e == drop else e
-    degrees = {e: p.degree(e) for e in ids if e != drop}
-    covers = sorted({(rename(lo), rename(hi)) for lo, hi in p.covers()})
-    return GradedPoset(p.rank, degrees, covers)
-
-
-ORACLE_INPUTS = st.one_of(
-    st.randoms(use_true_random=False).map(
-        lambda rnd: random_graded_poset(rnd, max_rank=5, max_width=4)
-    ),
-    pure_complex_posets(),
-    gorenstein_posets(),
-    product_posets(),
-    pinched_posets(),
-)
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
