@@ -24,21 +24,10 @@ from .homology import (
     boundary_of,
     is_gorenstein_star,
     is_quasi_convex,
-    link,
     order_complex,
     reduced_homology,
 )
-from .operators import (
-    SkeletonFunction,
-    cd_index_operator,
-    check_E_commutes_with_pullback,
-    constant_function,
-    eval_cd_monomial,
-    op_C,
-    op_D,
-    op_E,
-    pullback,
-)
+from .operators import cd_index_operator, operator_walk
 from .poset import (
     BarycentricResult,
     ElementSubposet,

@@ -19,7 +19,7 @@ from . import poset as poset_mod
 from .cdpoly import CdPolynomial, NotACdPolynomial, enumerate_cd_words
 from .flags import cd_index_flag, flag_f, flag_h, verify_duality
 from .homology import is_gorenstein_star, is_quasi_convex
-from .operators import cd_index_operator, eval_cd_monomial
+from .operators import cd_index_operator, operator_walk
 from .poset import InvalidPoset, barycentric, build_family, build_pyramid, is_eulerian
 from .recursion import NonIntegralResult, cd_index_stanley
 from .shelling import PiNotComplete, ShellingInvalid, pi_decomposition, shelling_steps
@@ -146,25 +146,21 @@ def _compute_one(method, p):
 
 
 def _trace_monomials(p, as_json):
-    """Per-monomial operator evaluation with every intermediate function."""
-    poset_order = sorted(p.elements(), key=lambda e: (p.degree(e), e))
-    records = []
-    for word in enumerate_cd_words(p.rank):
-        trace = []
-        value = eval_cd_monomial(p, word, trace=trace)
-        records.append(
-            {
-                "word": word or "1",
-                "coefficient": value,
-                "trace": [
-                    {
-                        "level": t.level,
-                        "values": {e: t(e) for e in poset_order if e in t.values},
-                    }
-                    for t in trace
-                ],
-            }
-        )
+    """Every cd-word's value with the functions of operator_walk along its
+    suffixes, in enumerate_cd_words order."""
+    ids = p.elements()
+    by_word = {
+        word: {
+            "word": word or "1",
+            "coefficient": path[-1][1][0],
+            "trace": [
+                {"level": level, "values": dict(zip(ids, values))}
+                for level, values in path
+            ],
+        }
+        for word, path in operator_walk(p)
+    }
+    records = [by_word[word] for word in enumerate_cd_words(p.rank)]
     if as_json:
         print(json.dumps({"monomials": records}, sort_keys=True))
         return

@@ -137,8 +137,8 @@ taken over GF(2) first: the GF(2) Betti numbers bound the rational ones
 from above, and when they vanish below the top dimension the Euler
 characteristic makes the top ones equal, so the profiles agree; only
 otherwise are the ranks exact.  The face search over every chain of the
-order complex is the test oracle, in tests/conftest.py, as
-reduced_homology + link are for it.
+order complex is the test oracle, in tests/conftest.py, as reduced_homology
+of each face's link is for it.
 """
 
 from __future__ import annotations
@@ -200,28 +200,6 @@ class SimplicialComplex:
     def num_faces(self):
         """Face count in each dimension, the empty face first."""
         return [len(s) for s in self.faces_by_dim()]
-
-    def has_face(self, face):
-        face = frozenset(face)
-        return any(face <= f for f in self.facets)
-
-    def reduced_euler(self):
-        """Alternating face count, empty face included: -1 for the empty
-        complex, 0 for a point, 1 for S^0."""
-        total = 0
-        for k, faces in enumerate(self.faces_by_dim()):
-            total += len(faces) if k % 2 else -len(faces)
-        return total
-
-
-def link(complex_, face):
-    """The link {g : g disjoint from face, g union face a face}."""
-    face = frozenset(face)
-    if not complex_.has_face(face):
-        raise ValueError(f"{sorted(face)} is not a face")
-    return SimplicialComplex(
-        [f - face for f in complex_.facets if face <= f]
-    )
 
 
 class HomologyProfile:

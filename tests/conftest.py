@@ -11,6 +11,7 @@ from cdindex.cdpoly import CdPolynomial
 from cdindex.homology import (
     GorensteinCertificate,
     HomologyProfile,
+    SimplicialComplex,
     _convolve,
     _interval_complex,
     reduced_homology,
@@ -291,6 +292,30 @@ def manifold_controls():
     }
 
 
+def has_face(complex_, face):
+    face = frozenset(face)
+    return any(face <= f for f in complex_.facets)
+
+
+def reduced_euler(complex_):
+    """Alternating face count, empty face included: -1 for the empty
+    complex, 0 for a point, 1 for S^0."""
+    total = 0
+    for k, faces in enumerate(complex_.faces_by_dim()):
+        total += len(faces) if k % 2 else -len(faces)
+    return total
+
+
+def link(complex_, face):
+    """The link {g : g disjoint from face, g union face a face}."""
+    face = frozenset(face)
+    if not has_face(complex_, face):
+        raise ValueError(f"{sorted(face)} is not a face")
+    return SimplicialComplex(
+        [f - face for f in complex_.facets if face <= f]
+    )
+
+
 def _certify_by_faces(poset):
     """Gorenstein* certificate by the face search.
 
@@ -333,6 +358,16 @@ def dual(p):
     cd-index", Math. Z. 1994)."""
     degrees = {e: p.rank + 1 - p.degree(e) for e in p.elements()}
     return GradedPoset(p.rank, degrees, [(hi, lo) for lo, hi in p.covers()])
+
+
+def upper_interval(p, s):
+    """The interval [s, top] of p as a poset of rank p.rank - deg s: the
+    elements of up_set(s), degrees shifted by deg s, covers restricted."""
+    members = set(p.up_set(s))
+    k = p.degree(s)
+    degrees = {e: p.degree(e) - k for e in members}
+    covers = [(lo, hi) for lo, hi in p.covers() if lo in members]
+    return GradedPoset(p.rank - k, degrees, covers)
 
 
 def reverse_cd(ix):

@@ -21,12 +21,7 @@ from cdindex.cdpoly import (
 )
 from cdindex.flags import cd_index_flag, flag_f, flag_h, verify_duality
 from cdindex.homology import is_gorenstein_star
-from cdindex.operators import (
-    SkeletonFunction,
-    cd_index_operator,
-    check_E_commutes_with_pullback,
-    eval_cd_monomial,
-)
+from cdindex.operators import cd_index_operator
 from cdindex.poset import (
     build_pyramid,
     chain,
@@ -44,6 +39,11 @@ from conftest import (
     polygon_minus_facet,
     pyramid_without_apex_star,
     random_graded_poset,
+)
+from test_operators import (
+    SkeletonFunction,
+    check_E_commutes_with_pullback,
+    eval_cd_monomial,
 )
 
 

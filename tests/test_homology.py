@@ -19,7 +19,6 @@ from cdindex.homology import (
     boundary_of,
     is_gorenstein_star,
     is_quasi_convex,
-    link,
     order_complex,
     reduced_homology,
 )
@@ -46,11 +45,14 @@ from conftest import (
     _certify_by_faces,
     antipodal_quotient,
     face_poset,
+    has_face,
+    link,
     manifold_controls,
     minus_facet,
     polygon_minus_facet,
     pyramid_without_apex_star,
     random_graded_poset,
+    reduced_euler,
     relabeled,
 )
 
@@ -74,7 +76,7 @@ def test_complex_normalizes_facets():
     k = SimplicialComplex([(1, 2, 3), (2, 3), (1, 2, 3), (4,)])
     assert k.facets == (frozenset({4}), frozenset({1, 2, 3}))
     assert k.dim == 2
-    assert k.has_face(()) and k.has_face((2, 3)) and not k.has_face((1, 4))
+    assert has_face(k, ()) and has_face(k, (2, 3)) and not has_face(k, (1, 4))
 
 
 def test_face_counts():
@@ -120,7 +122,7 @@ def test_euler_characteristic_consistency():
         euler = sum(
             (-1) ** i * profile.betti(i) for i in range(-1, k.dim + 1)
         )
-        assert euler == k.reduced_euler()
+        assert euler == reduced_euler(k)
 
 
 def test_link():

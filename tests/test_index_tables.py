@@ -11,11 +11,12 @@ from cdindex import poset as pm
 from cdindex.cdpoly import CdPolynomial, enumerate_cd_words
 from cdindex.flags import cd_index_flag, flag_f
 from cdindex.homology import is_gorenstein_star
-from cdindex.operators import cd_index_operator, eval_cd_monomial
+from cdindex.operators import cd_index_operator
 from cdindex.recursion import NonIntegralResult, cd_index_stanley
 
 from conftest import random_graded_poset
 from test_flags import brute_force_flag_f
+from test_operators import eval_cd_monomial
 from test_recursion import _cd_index_stanley_per_element
 
 # builder members small enough for the enumeration oracle of flag_f

@@ -1,23 +1,168 @@
+"""The operator walk against the per-word operator calculus.
+
+SkeletonFunction, op_C, op_D, op_E and eval_cd_monomial evaluate one word
+at a time, letter by letter, as the operator calculus is written: they are
+the oracle of operator_walk, which shares every suffix between words.
+pullback and check_E_commutes_with_pullback test E against the chain-poset
+projection.
+"""
+
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdindex.cdpoly import CdPolynomial, enumerate_cd_words
+from cdindex.cdpoly import CdPolynomial, enumerate_cd_words, word_degree
 from cdindex.flags import cd_index_flag
-from cdindex.operators import (
-    SkeletonFunction,
-    cd_index_operator,
-    check_E_commutes_with_pullback,
-    constant_function,
-    eval_cd_monomial,
-    op_C,
-    op_D,
-    op_E,
-    pullback,
+from cdindex.operators import cd_index_operator, operator_walk
+from cdindex.poset import (
+    barycentric,
+    build_pyramid,
+    chain,
+    crosspoly_fan,
+    cube_fan,
+    polygon,
+    simplex_fan,
+    skeleton,
 )
-from cdindex.poset import barycentric, build_pyramid, chain, polygon, simplex_fan, skeleton
 
-from conftest import random_graded_poset
+from conftest import (
+    antipodal_quotient,
+    gorenstein_posets,
+    random_graded_poset,
+    upper_interval,
+)
+
+
+@dataclass(frozen=True)
+class SkeletonFunction:
+    """Integer values on the degree <= level part of a poset (top excluded)."""
+
+    poset: object
+    level: int
+    values: dict
+
+    def __post_init__(self):
+        domain = _domain(self.poset, self.level)
+        if set(self.values) != domain:
+            missing = domain - set(self.values)
+            extra = set(self.values) - domain
+            raise ValueError(
+                f"domain mismatch at level {self.level}: "
+                f"missing {sorted(missing)}, extra {sorted(extra)}"
+            )
+
+    def __call__(self, e):
+        return self.values[e]
+
+    def same_values(self, other):
+        return self.level == other.level and self.values == other.values
+
+
+def _domain(poset, level):
+    if not 0 <= level <= poset.rank:
+        raise ValueError(f"level {level} out of range for rank {poset.rank}")
+    return {e for e in poset.elements() if poset.degree(e) <= level}
+
+
+def constant_function(poset, level):
+    """The constant function 1 on the degree <= level skeleton."""
+    return SkeletonFunction(poset, level, dict.fromkeys(_domain(poset, level), 1))
+
+
+def op_E(f):
+    """E(f)(s) = sum over t >= s with deg t <= level of (-1)^(level - deg t) f(t)."""
+    poset, m = f.poset, f.level
+    out = {}
+    for e in f.values:
+        acc = 0
+        for t in poset.up_set(e):
+            d = poset.degree(t)
+            if d <= m:
+                acc += f.values[t] if (m - d) % 2 == 0 else -f.values[t]
+        out[e] = acc
+    return SkeletonFunction(poset, m, out)
+
+
+def op_C(f):
+    """Restriction to the skeleton one level down."""
+    if f.level == 0:
+        raise ValueError("cannot restrict below level 0")
+    m = f.level - 1
+    poset = f.poset
+    return SkeletonFunction(
+        poset, m, {e: v for e, v in f.values.items() if poset.degree(e) <= m}
+    )
+
+
+def op_D(f):
+    """D = C o (E - Id) o C, dropping two levels."""
+    if f.level < 2:
+        raise ValueError("D needs level >= 2")
+    g = op_C(f)
+    eg = op_E(g)
+    h = SkeletonFunction(
+        g.poset, g.level, {e: eg.values[e] - g.values[e] for e in g.values}
+    )
+    return op_C(h)
+
+
+def eval_cd_monomial(poset, word, trace=None):
+    """Value at the bottom of word(C, D) applied to the constant function 1.
+
+    Letters act rightmost first: a trailing c applies C first.  When the
+    poset is Gorenstein* of matching rank this is the coefficient of the word
+    in its cd-index.  Pass a list as ``trace`` to collect the intermediate
+    skeleton functions (the starting constant included).
+    """
+    n = poset.rank
+    if word_degree(word) != n:
+        raise ValueError(
+            f"word {word!r} has degree {word_degree(word)}, poset has rank {n}"
+        )
+    f = constant_function(poset, n)
+    if trace is not None:
+        trace.append(f)
+    for letter in reversed(word):
+        f = op_C(f) if letter == "c" else op_D(f)
+        if trace is not None:
+            trace.append(f)
+    assert f.level == 0
+    return f(poset.bottom)
+
+
+def pullback(f, bary):
+    """Pull a skeleton function back along the chain-poset projection.
+
+    ``bary`` must be the barycentric subdivision of the level-m skeleton of
+    f's poset; the result assigns f(max of chain) to every chain.
+    """
+    b = bary.bposet
+    m = f.level
+    if b.rank != m:
+        raise ValueError(
+            f"barycentric poset has rank {b.rank}, expected level {m}"
+        )
+    out = {}
+    for e in b.elements():
+        if e == b.top:
+            continue
+        out[e] = f.values[bary.projection[e]]
+    return SkeletonFunction(b, m, out)
+
+
+def check_E_commutes_with_pullback(poset, m, f):
+    """Test E o pullback == pullback o E pointwise on the chain poset.
+
+    Holds whenever the poset is Eulerian; may fail outside that contract.
+    """
+    if f.level != m:
+        raise ValueError("function level must equal m")
+    bary = barycentric(skeleton(poset, m).poset)
+    lhs = op_E(pullback(f, bary))
+    rhs = pullback(op_E(f), bary)
+    return lhs.same_values(rhs)
 
 
 def random_function(p, m, rng, low=-5, high=5):
@@ -138,6 +283,59 @@ def test_operator_matches_per_word_oracle(rnd):
         {w: eval_cd_monomial(p, w) for w in enumerate_cd_words(p.rank)}
     )
     assert cd_index_operator(p) == expected
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_walk_paths_match_per_word_traces(rnd):
+    # every function along every word, not only the value at the bottom
+    p = random_graded_poset(rnd, max_rank=5)
+    ids = p.elements()
+    words = []
+    for word, path in operator_walk(p):
+        words.append(word)
+        trace = []
+        eval_cd_monomial(p, word, trace=trace)
+        assert [(level, dict(zip(ids, values))) for level, values in path] == [
+            (t.level, t.values) for t in trace
+        ]
+    # reversed-lexicographic: ordered by the word read backwards
+    assert words == sorted(enumerate_cd_words(p.rank), key=lambda w: w[::-1])
+
+
+def assert_walk_matches_upper_intervals(p):
+    """At level m after suffix u, the walk's value at s of degree k <= m is
+    the coefficient of c^(m-k) u in the cd-index of [s, top]: non-negative
+    when that interval is Gorenstein*."""
+    ids = p.elements()
+    deg = p.index_data().deg
+    upper = [cd_index_flag(upper_interval(p, s)) for s in ids[:-1]]
+    seen = set()
+    for word, path in operator_walk(p):
+        for i, (m, values) in enumerate(path):
+            suffix = word[len(word) - i :]
+            if suffix in seen:
+                continue
+            seen.add(suffix)
+            for s, v in enumerate(values):
+                assert deg[s] <= m
+                assert v == upper[s].coefficient("c" * (m - deg[s]) + suffix)
+                assert v >= 0
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(gorenstein_posets())
+def test_walk_gives_every_upper_interval_cd_index(p):
+    assert_walk_matches_upper_intervals(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [antipodal_quotient(crosspoly_fan(4)), build_pyramid(cube_fan(3)), polygon(6)],
+    ids=["RP3", "pyramid(cube_fan(3))", "polygon(6)"],
+)
+def test_walk_upper_intervals_fixed_inputs(p):
+    assert_walk_matches_upper_intervals(p)
 
 
 def test_pullback_basics():
