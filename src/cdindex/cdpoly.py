@@ -4,10 +4,10 @@ Words over {c, d} are plain strings; c has degree 1 and d degree 2.  A
 CdPolynomial maps words to exact coefficients.  The t-substitution sends a
 word to a multilinear polynomial in t_1, ..., t_n by replacing, left to
 right, c with (t_i + 1) and d with (t_i + t_{i+1}), each position used once;
-SubsetPolynomial holds such multilinear polynomials as subset -> coefficient
-maps.  to_cd inverts the substitution by peeling one letter at a time, with
-additions only, in O(2^n).  All coefficients are exact (int or Fraction),
-never floats.
+SubsetPolynomial holds such a polynomial as the list ``values`` of its 2^n
+coefficients by subset mask, and ``terms`` is a subset map derived from it.
+to_cd peels ``values`` one letter at a time, with additions only, in
+O(2^n).  All coefficients are exact (int or Fraction), never floats.
 """
 
 from __future__ import annotations
@@ -38,13 +38,10 @@ def enumerate_cd_words(n):
     """All words of degree n in lexicographic order (c < d); Fibonacci many."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n == 0:
-        return [""]
-    if n == 1:
-        return ["c"]
-    return ["c" + w for w in enumerate_cd_words(n - 1)] + [
-        "d" + w for w in enumerate_cd_words(n - 2)
-    ]
+    prev, cur = [], [""]
+    for _ in range(n):
+        prev, cur = cur, ["c" + w for w in cur] + ["d" + w for w in prev]
+    return cur
 
 
 def word_to_str(w):
@@ -214,85 +211,100 @@ def parse_cd(text):
 
 
 class SubsetPolynomial:
-    """Multilinear polynomial in t_1..t_n as a subset -> coefficient map."""
+    """Multilinear polynomial in t_1..t_n: ``values[mask(S)]`` is the
+    coefficient of t^S, where mask(S) = sum of 2^(i-1) over i in S, and
+    ``terms`` is the subset -> nonzero coefficient map, derived on each read."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "values")
 
     def __init__(self, n, terms=None):
         self.n = int(n)
-        clean = {}
+        self.values = [0] * (1 << self.n)
         for s, v in (terms or {}).items():
-            s = frozenset(s)
-            if any(not 1 <= i <= self.n for i in s):
-                raise ValueError(f"subset {sorted(s)} outside 1..{self.n}")
-            v = _norm(v)
+            mask = self._mask(s)
+            if mask is None:
+                raise ValueError(f"subset {sorted(set(s))} outside 1..{self.n}")
             if v:
-                clean[s] = v
-        self.terms = clean
+                self.values[mask] = _norm(v)
+
+    @classmethod
+    def from_values(cls, n, values):
+        """The polynomial with ``values[mask(S)]`` at S, for 2^n values."""
+        self = cls(n)
+        if len(values) != len(self.values):
+            raise ValueError(f"{len(values)} values for the 2^{n} subsets of 1..{n}")
+        self.values = [_norm(v) for v in values]
+        return self
+
+    def _mask(self, s):
+        # mask(s), or None when s leaves 1..n; 2^i summed is 2 * mask(s)
+        s = frozenset(s)
+        if not s or 1 <= min(s) and max(s) <= self.n:
+            return sum(map((1).__lshift__, s)) >> 1
+
+    @property
+    def terms(self):
+        n = self.n
+        return {
+            frozenset(i + 1 for i in range(n) if mask >> i & 1): v
+            for mask, v in enumerate(self.values)
+            if v
+        }
 
     def get(self, s):
-        return self.terms.get(frozenset(s), 0)
+        mask = self._mask(s)
+        return 0 if mask is None else self.values[mask]
 
+    # equal values have equal lengths 2^n, hence equal n
     def __eq__(self, other):
-        return (
-            isinstance(other, SubsetPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return isinstance(other, SubsetPolynomial) and self.values == other.values
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash(tuple(self.values))
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("ambient mismatch")
-        out = dict(self.terms)
-        for s, v in other.terms.items():
-            out[s] = out.get(s, 0) + v
-        return SubsetPolynomial(self.n, out)
+        pairs = zip(self.values, other.values)
+        return self.from_values(self.n, [a + b for a, b in pairs])
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        return SubsetPolynomial(self.n, {s: v * scalar for s, v in self.terms.items()})
+        return self.from_values(self.n, [v * scalar for v in self.values])
 
     __rmul__ = __mul__
 
     def shift_in(self, i):
         """Multiply by t_i (every subset must avoid position i)."""
-        out = {}
-        for s, v in self.terms.items():
-            if i in s:
-                raise ValueError(f"t_{i} already present")
-            out[s | {i}] = v
-        return SubsetPolynomial(max(self.n, i), out)
+        n, bit = max(self.n, i), 1 << (i - 1)
+        out = [0] * (1 << n)
+        for mask, v in enumerate(self.values):
+            if v:
+                if mask & bit:
+                    raise ValueError(f"t_{i} already present")
+                out[mask | bit] = v
+        return self.from_values(n, out)
 
     def restrict(self, m):
         """Set t_{m+1} = ... = t_n = 0: keep subsets within 1..m."""
         if not 0 <= m <= self.n:
             raise ValueError(f"restriction level {m} out of range")
-        kept = {s: v for s, v in self.terms.items() if all(i <= m for i in s)}
-        return SubsetPolynomial(m, kept)
+        return self.from_values(m, self.values[: 1 << m])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
     def to_json(self):
-        return {
-            "n": self.n,
-            "terms": {
-                ",".join(str(i) for i in sorted(s)): v
-                for s, v in self.sorted_terms()
-            },
-        }
+        terms = {",".join(map(str, sorted(s))): v for s, v in self.sorted_terms()}
+        return {"n": self.n, "terms": terms}
 
     @classmethod
     def from_json(cls, data):
         terms = {}
         for key, v in data["terms"].items():
-            s = frozenset(int(p) for p in key.split(",") if p)
-            terms[s] = v
+            terms[tuple(int(p) for p in key.split(",") if p)] = v
         return cls(data["n"], terms)
 
     def __repr__(self):
@@ -350,14 +362,8 @@ def to_cd(h):
     coefficients pass through and integer input gives integer output; the
     cost is O(2^n) for n = h.n.
     """
-    vals = [0] * (1 << h.n)
-    for s, v in h.terms.items():
-        mask = 0
-        for i in s:
-            mask |= 1 << (i - 1)
-        vals[mask] = v
     terms = {}
-    _peel(vals, h.n, 0, "", terms)
+    _peel(h.values, h.n, 0, "", terms)
     return CdPolynomial(terms)
 
 

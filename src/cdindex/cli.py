@@ -17,7 +17,7 @@ import sys
 
 from . import poset as poset_mod
 from .cdpoly import CdPolynomial, NotACdPolynomial, enumerate_cd_words
-from .flags import cd_index_flag, flag_f, flag_h, verify_duality
+from .flags import cd_index_flag, flag_f, flag_h
 from .homology import is_gorenstein_star, is_quasi_convex
 from .operators import cd_index_operator, operator_walk
 from .poset import InvalidPoset, barycentric, build_family, build_pyramid, is_eulerian
@@ -207,8 +207,8 @@ def cmd_check(args):
         ok = is_eulerian(p)
         cert = {"eulerian": ok}
     elif args.what == "duality":
-        ok = verify_duality(p)
         h = flag_h(flag_f(p))
+        ok = h.values == h.values[::-1]
         cert = {"duality": ok, "h": h.to_json()["terms"]}
     elif args.what == "gorenstein-star":
         res = is_gorenstein_star(p)

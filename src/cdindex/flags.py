@@ -2,8 +2,9 @@
 
 f_S counts the chains in the proper part of a poset whose degree set is S;
 h_T is its inclusion-exclusion transform.  Both are functions on the subsets
-of {1..n}, so both are held as cdpoly.SubsetPolynomial (the setting of the
-t-substitution of Bayer and Klapper, "A new index for polytopes", 1991).
+of {1..n}, so both are held as cdpoly.SubsetPolynomial, whose ``values``
+list the 2^n coefficients by subset mask (the setting of the t-substitution
+of Bayer and Klapper, "A new index for polytopes", 1991).
 For Eulerian posets the h-data is the image of a unique cd-polynomial,
 recovered by cdpoly.to_cd, which peels the t-substitution one letter at a
 time with additions only, in O(2^n) for rank n.
@@ -23,12 +24,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .cdpoly import SubsetPolynomial, phi_expand, to_cd
-
-
-def _subsets(n):
-    for mask in range(1 << n):
-        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
+from .cdpoly import SubsetPolynomial, to_cd
 
 
 def flag_f(poset):
@@ -45,7 +41,7 @@ def flag_f(poset):
     """
     n = poset.rank
     if n == 0:
-        return SubsetPolynomial(0, {frozenset(): 1})
+        return SubsetPolynomial.from_values(0, [1])
     ix = poset.index_data()
     # indices are sorted by degree: degree d holds start[d] .. start[d+1]-1
     start = ix.layer_start
@@ -71,7 +67,7 @@ def flag_f(poset):
         int.from_bytes(data[i : i + size], "little")
         for i in range(0, size << n, size)
     ]
-    return SubsetPolynomial(n, {s: t for s, t in zip(_subsets(n), counts) if t})
+    return SubsetPolynomial.from_values(n, counts)
 
 
 def flag_h(f):
@@ -81,15 +77,13 @@ def flag_h(f):
     one position at a time: O(n * 2^n) for n = f.n.
     """
     n = f.n
-    vals = [0] * (1 << n)
-    for s, v in f.terms.items():
-        vals[sum(1 << (i - 1) for i in s)] = v
+    vals = list(f.values)
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
                 vals[mask] -= vals[mask ^ bit]
-    return SubsetPolynomial(n, {s: v for s, v in zip(_subsets(n), vals) if v})
+    return SubsetPolynomial.from_values(n, vals)
 
 
 def cd_index_flag(poset):
@@ -99,9 +93,8 @@ def cd_index_flag(poset):
 
 def verify_duality(poset):
     """Check h_S = h_{complement of S} for every S (a one-way Eulerian probe)."""
-    h = flag_h(flag_f(poset))
-    full = frozenset(range(1, poset.rank + 1))
-    return all(h.get(s) == h.get(full - s) for s in _subsets(poset.rank))
+    h = flag_h(flag_f(poset)).values
+    return h == h[::-1]  # the complement of mask m is 2^n - 1 - m
 
 
 def skeleton_poincare(poset, m):
@@ -112,5 +105,6 @@ def skeleton_poincare(poset, m):
     """
     if not 0 <= m <= poset.rank:
         raise ValueError(f"skeleton level {m} out of range")
-    full = phi_expand(cd_index_flag(poset))
-    return full.restrict(m)
+    h = flag_h(flag_f(poset))
+    to_cd(h)  # raises NotACdPolynomial unless h is the image of the cd-index
+    return h.restrict(m)

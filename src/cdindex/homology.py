@@ -148,7 +148,7 @@ from functools import cache
 from itertools import combinations
 
 from . import kernel
-from .poset import _bits, induced_subposet
+from .poset import induced_subposet, mask_indices
 
 
 class SimplicialComplex:
@@ -277,7 +277,7 @@ def _interval_complex(poset, x, y):
     ids = poset.elements()
     xi, yi = ix.index[x], ix.index[y]
     mask = ix.up[xi] & ix.down[yi] & ~(1 << xi) & ~(1 << yi)
-    starts = [i for i in _bits(mask) if ix.deg[i] == ix.deg[xi] + 1]
+    starts = [i for i in mask_indices(mask) if ix.deg[i] == ix.deg[xi] + 1]
     facets = []
     stack = [(i, (ids[i],)) for i in starts]
     end_deg = ix.deg[yi] - 1
@@ -374,12 +374,12 @@ def _intervals_are_spheres(poset, signing):
     # are the bits of up[x] from layer_start[deg x + 3] on, the first index
     # of degree deg x + 3; past the top degree, layer_start[rank + 2] is the
     # element count, which leaves none.
-    # reversed index order visits bases in decreasing degree, and _bits yields
-    # the elements above one increasingly
+    # reversed index order visits bases in decreasing degree, and
+    # mask_indices yields the elements above one increasingly
     for x in reversed(range(len(deg))):
         upx, base = up[x], deg[x]
         s = start[min(base + 3, last)]
-        for y in _bits(upx >> s << s):
+        for y in mask_indices(upx >> s << s):
             if not _acyclic_below_top(
                 upx & down[y], base, deg[y] - base - 2, layers, down, signing
             ):
@@ -498,7 +498,7 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, signing):
         if t == base_deg + 2 and size <= 3:
             r = size - 1
         else:
-            r = kernel.rank_mod2([down[z] & below for z in _bits(level)])
+            r = kernel.rank_mod2([down[z] & below for z in mask_indices(level)])
         if size != r_below + r:
             eps = signing()
             return None not in eps and _cellular_homology(
@@ -529,13 +529,13 @@ def _cellular_homology(cells, base_deg, d, layers, down, eps):
         ]
 
     mod2 = betti(lambda below, level: kernel.rank_mod2(
-        [down[z] & below for z in _bits(level)]
+        [down[z] & below for z in mask_indices(level)]
     ))
     if not any(mod2[:-1]):
         return HomologyProfile(mod2)
     return HomologyProfile(betti(lambda below, level: kernel.sparse_rank([
         (w, z, a)
-        for z in _bits(level)
+        for z in mask_indices(level)
         for w, a in eps[z].items()
         if below >> w & 1
     ])))
@@ -564,7 +564,7 @@ def _certify_by_gaps(poset, eps):
             cells = up[x] & down[y]
             spheres = all(
                 eps[z] is not None and gap(x, z).is_sphere(deg[z] - deg[x] - 2)
-                for z in _bits(cells & ~(1 << x | 1 << y))
+                for z in mask_indices(cells & ~(1 << x | 1 << y))
             )
             memo[x, y] = (
                 _cellular_homology(
@@ -577,7 +577,7 @@ def _certify_by_gaps(poset, eps):
 
     by_ids = lambda face: tuple(sorted(ids[i] for i in face))
     proper = range(1, top)
-    pairs = ((x, y) for x in proper for y in _bits(up[x] & ~(1 << x | 1 << top)))
+    pairs = ((x, y) for x in proper for y in mask_indices(up[x] & ~(1 << x | 1 << top)))
     # each group is sorted only once the walk reaches it
     for faces in ([()], ((x,) for x in proper), pairs):
         for face in sorted(faces, key=by_ids):

@@ -57,7 +57,7 @@ class IndexData:
     def below(self):
         flat = array("i")
         for m in self.down:
-            flat.extend(_bits(m))
+            flat.extend(mask_indices(m))
         start = array("i", accumulate((m.bit_count() for m in self.down), initial=0))
         return FlatTable(flat, start)
 
@@ -247,18 +247,18 @@ class GradedPoset:
     def up_set(self, e):
         """All elements >= e (including e), sorted by (degree, id)."""
         up = self.index_data().up
-        return tuple(self._ids[i] for i in _bits(up[self._index[e]]))
+        return tuple(self._ids[i] for i in mask_indices(up[self._index[e]]))
 
     def down_set(self, e):
         """All elements <= e (including e)."""
         down = self.index_data().down
-        return tuple(self._ids[i] for i in _bits(down[self._index[e]]))
+        return tuple(self._ids[i] for i in mask_indices(down[self._index[e]]))
 
     def closed_interval(self, x, y):
         """Elements z with x <= z <= y."""
         ix = self.index_data()
         m = ix.up[self._index[x]] & ix.down[self._index[y]]
-        return tuple(self._ids[i] for i in _bits(m))
+        return tuple(self._ids[i] for i in mask_indices(m))
 
     def open_interval(self, x, y):
         """Elements z with x < z < y."""
@@ -266,7 +266,7 @@ class GradedPoset:
         m = ix.up[self._index[x]] & ix.down[self._index[y]]
         m &= ~(1 << self._index[x])
         m &= ~(1 << self._index[y])
-        return tuple(self._ids[i] for i in _bits(m))
+        return tuple(self._ids[i] for i in mask_indices(m))
 
     # -- serialization ----------------------------------------------------------
 
@@ -283,7 +283,8 @@ class GradedPoset:
         return json.dumps(self.to_json(), indent=None, separators=(",", ":"))
 
 
-def _bits(mask):
+def mask_indices(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -580,7 +581,7 @@ def induced_subposet(parent, members, adjoin_top=True):
         above = up[i] & member_mask & ~(1 << i)
         if not above:
             maximal.append(i)
-        for j in _bits(above):
+        for j in mask_indices(above):
             # j covers i inside the subposet iff [i, j] meets members twice
             if (up[i] & down[j] & member_mask).bit_count() == 2:
                 covers.append((parent._ids[i], parent._ids[j]))
@@ -644,8 +645,8 @@ def mobius(poset, x, y):
     xi, yi = poset._index[x], poset._index[y]
     mu = {xi: 1}
     # indices are sorted by degree, so each w < z is filled before z
-    for zi in _bits(up[xi] & down[yi] & ~(1 << xi)):
-        mu[zi] = -sum(mu[wi] for wi in _bits(up[xi] & down[zi] & ~(1 << zi)))
+    for zi in mask_indices(up[xi] & down[yi] & ~(1 << xi)):
+        mu[zi] = -sum(mu[wi] for wi in mask_indices(up[xi] & down[zi] & ~(1 << zi)))
     return mu[yi]
 
 
@@ -661,7 +662,7 @@ def is_eulerian(poset):
     for layer in ix.layers[::2]:
         even_mask |= layer
     for xi in range(n):
-        for yi in _bits(up[xi] & ~(1 << xi)):
+        for yi in mask_indices(up[xi] & ~(1 << xi)):
             inter = up[xi] & down[yi]
             ev = (inter & even_mask).bit_count()
             if 2 * ev != inter.bit_count():

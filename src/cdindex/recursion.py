@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .cdpoly import CdPolynomial
+from .cdpoly import CdPolynomial, enumerate_cd_words
 
 
 class NonIntegralResult(ArithmeticError):
@@ -51,11 +51,8 @@ class NonIntegralResult(ArithmeticError):
 
 
 def _words(m):
-    """The cd-words of degree m, suffix-first (see the module docstring)."""
-    prev, cur = [], [""]
-    for _ in range(m):
-        prev, cur = cur, [w + "c" for w in cur] + [w + "d" for w in prev]
-    return cur
+    """The cd-words of degree m, suffix-first: the lexicographic ones reversed."""
+    return [w[::-1] for w in enumerate_cd_words(m)]
 
 
 def _unpack(x, count, size):

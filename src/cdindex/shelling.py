@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from .cdpoly import CdPolynomial
 from .flags import cd_index_flag
 from .homology import _quasi_convex_boundary, boundary_of, is_gorenstein_star
-from .poset import GradedPoset, InvalidPoset, _bits, induced_subposet, strict_ideal
+from .poset import (
+    GradedPoset, InvalidPoset, induced_subposet, mask_indices, strict_ideal,
+)
 
 
 class ShellingInvalid(ValueError):
@@ -113,7 +115,7 @@ def shelling_steps(poset, order):
     steps = []
     for i, sigma in enumerate(order[1:], start=2):
         mask = ix.down[ix.index[sigma]] & seen
-        members = [ids[j] for j in _bits(mask)]
+        members = [ids[j] for j in mask_indices(mask)]
         try:
             sub = induced_subposet(poset, members, adjoin_top=True)
         except InvalidPoset as exc:

@@ -18,10 +18,10 @@ from cdindex.homology import (
 )
 from cdindex.poset import (
     GradedPoset,
-    _bits,
     _chains,
     build_family,
     induced_subposet,
+    mask_indices,
     star,
 )
 
@@ -447,7 +447,7 @@ def pinched_posets(draw):
     ids = p.elements()
     pairs = [
         (ids[a], ids[b])
-        for a, b in itertools.combinations(_bits(ix.layers[1]), 2)
+        for a, b in itertools.combinations(mask_indices(ix.layers[1]), 2)
         if (ix.up[a] & ix.up[b]).bit_count() == 1
     ]
     if not pairs:

@@ -379,3 +379,64 @@ def test_subset_polynomial_restrict_and_shift():
     assert h.restrict(1).shift_in(2) == SubsetPolynomial(2, {frozenset({1, 2}): 2})
     with pytest.raises(ValueError):
         SubsetPolynomial(1, {frozenset({1}): 1}).shift_in(1)
+
+
+def test_subset_polynomial_values_by_mask():
+    # bit i-1 of the index stands for t_i, and terms is derived from values
+    h = SubsetPolynomial(3, {frozenset({1, 3}): 5, frozenset({2}): -1})
+    assert h.values == [0, 0, -1, 0, 0, 5, 0, 0]
+    assert h.terms == {frozenset({1, 3}): 5, frozenset({2}): -1}
+    assert SubsetPolynomial.from_values(3, h.values) == h
+    assert SubsetPolynomial(2).values == [0, 0, 0, 0]
+    # shift_in keeps every other coefficient when t_i joins
+    g = SubsetPolynomial(2, {frozenset(): 4, frozenset({1}): 0, frozenset({2}): 7})
+    assert g.shift_in(1) == SubsetPolynomial(2, {frozenset({1}): 4, frozenset({1, 2}): 7})
+
+
+def test_from_values_checks_the_length():
+    for n, size in [(0, 0), (0, 2), (2, 3), (2, 5), (3, 4)]:
+        with pytest.raises(ValueError, match="values for the 2\\^"):
+            SubsetPolynomial.from_values(n, [1] * size)
+    with pytest.raises(ValueError, match="outside"):
+        SubsetPolynomial(2, {frozenset({3}): 1})
+
+
+def test_dict_and_list_built_polynomials_agree():
+    # Fraction(4, 2) is stored as the int 2, whichever way it comes in
+    by_dict = SubsetPolynomial(2, {frozenset(): Fraction(4, 2), frozenset({2}): 3})
+    by_list = SubsetPolynomial.from_values(2, [2, 0, Fraction(6, 2), 0])
+    assert by_dict == by_list
+    assert hash(by_dict) == hash(by_list)
+    assert by_dict.get(()) == by_list.get(()) == 2
+    assert type(by_dict.get(())) is int and type(by_list.get({2})) is int
+    assert by_list.to_json() == by_dict.to_json() == {"n": 2, "terms": {"": 2, "2": 3}}
+    assert repr(by_list) == repr(by_dict) == "SubsetPolynomial(n=2, {{}: 2, {2}: 3})"
+    assert by_list != SubsetPolynomial.from_values(2, [2, 0, 3, 1])
+    assert by_list != SubsetPolynomial.from_values(3, [2, 0, 3, 0, 0, 0, 0, 0])
+    assert len({by_dict, by_list, by_dict + SubsetPolynomial(2)}) == 1
+    # a Fraction that is not an integer stays one, and compares by value
+    half = SubsetPolynomial(1, {frozenset({1}): Fraction(1, 2)})
+    assert half == SubsetPolynomial.from_values(1, [0, Fraction(2, 4)])
+    assert hash(half) == hash(SubsetPolynomial.from_values(1, [0, Fraction(2, 4)]))
+
+
+def test_get_outside_the_ambient_is_zero():
+    h = SubsetPolynomial(2, {frozenset({1, 2}): 5, frozenset(): 1})
+    assert h.get({1, 2}) == 5 and h.get([2, 1, 1]) == 5
+    assert h.get({3}) == 0
+    assert h.get({0}) == 0
+    assert h.get({1, 2, 3}) == 0
+    assert SubsetPolynomial(0, {(): 1}).get({1}) == 0
+
+
+def test_to_cd_leaves_its_argument(rng):
+    for _ in range(10):
+        p = random_homogeneous(rng, rng.randint(1, 8))
+        h = phi_expand(p)
+        before = list(h.values)
+        assert to_cd(h) == p
+        assert h.values == before
+    bad = SubsetPolynomial(2, {frozenset(): 1})
+    with pytest.raises(NotACdPolynomial):
+        to_cd(bad)
+    assert bad.values == [1, 0, 0, 0]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cdindex.cdpoly import CdPolynomial, NotACdPolynomial, SubsetPolynomial, phi_expand
 from cdindex.flags import (
-    _subsets,
     cd_index_flag,
     flag_f,
     flag_h,
@@ -34,6 +33,12 @@ from conftest import (
     gorenstein_posets,
     random_graded_poset,
 )
+
+
+def _subsets(n):
+    """Every subset of 1..n, in the order of its mask."""
+    for mask in range(1 << n):
+        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 def brute_force_flag_f(p):
@@ -270,6 +275,16 @@ def test_verify_duality():
     assert not verify_duality(chain(2))
 
 
+def test_verify_duality_matches_complements(rng):
+    # the reversal test against h_S = h_(complement of S) subset by subset
+    for _ in range(40):
+        p = random_graded_poset(rng)
+        h = flag_h(flag_f(p))
+        full = frozenset(range(1, p.rank + 1))
+        expected = all(h.get(s) == h.get(full - s) for s in _subsets(p.rank))
+        assert verify_duality(p) == expected
+
+
 def test_eulerian_implies_cd_exists_and_methods_agree(rng):
     # the gates are one-way: Eulerian posets always pass the flag and
     # recursion routes, and the operator route joins whenever the poset is
@@ -343,6 +358,34 @@ def test_skeleton_poincare_ends():
     pyr = build_pyramid(polygon(4))
     assert skeleton_poincare(pyr, 3) == phi_expand(cd_index_flag(pyr))
     assert skeleton_poincare(pyr, 0) == SubsetPolynomial(0, {frozenset(): 1})
+
+
+def test_skeleton_poincare_rejects_non_eulerian():
+    # chain(2) has no cd-index: the flag route's residual is raised, with
+    # the message cd_index_flag gives, at every level
+    with pytest.raises(NotACdPolynomial) as expected:
+        cd_index_flag(chain(2))
+    for m in range(3):
+        with pytest.raises(NotACdPolynomial) as got:
+            skeleton_poincare(chain(2), m)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="out of range"):
+        skeleton_poincare(chain(2), 3)
+
+
+def test_skeleton_poincare_matches_phi_expand():
+    # the restricted h-polynomial against the image of the cd-index
+    for p in [simplex_fan(5), crosspoly_fan(4), build_pyramid(cube_fan(3))]:
+        full = phi_expand(cd_index_flag(p))
+        for m in range(p.rank + 1):
+            assert skeleton_poincare(p, m) == full.restrict(m)
+
+
+def test_flag_h_leaves_its_argument():
+    f = flag_f(build_pyramid(cube_fan(3)))
+    before = list(f.values)
+    flag_h(f)
+    assert f.values == before
 
 
 def strip_trailing(p):

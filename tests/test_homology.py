@@ -24,7 +24,6 @@ from cdindex.homology import (
 )
 from cdindex.poset import (
     GradedPoset,
-    _bits,
     barycentric,
     build_pyramid,
     chain,
@@ -32,6 +31,7 @@ from cdindex.poset import (
     cube_fan,
     induced_subposet,
     is_eulerian,
+    mask_indices,
     polygon,
     simplex_fan,
 )
@@ -377,13 +377,14 @@ def _intervals_are_spheres_per_pair(poset):
     whose top cycle cannot be found by sign propagation."""
     ix = poset.index_data()
     down, up, deg = ix.down, ix.up, ix.deg
-    cov_down = poset._cov_down
+    cov_down = ix.cov_down
     # element indices are sorted by degree: reversed order visits bases in
-    # decreasing degree, and _bits yields the elements above one increasingly
+    # decreasing degree, and mask_indices yields the elements above one
+    # increasingly
     for x in reversed(range(len(deg))):
         # boundary[z] maps the cells of [x, z) one dimension below z to +-1
         boundary = {}
-        for y in _bits(up[x] & ~(1 << x)):
+        for y in mask_indices(up[x] & ~(1 << x)):
             d = deg[y] - deg[x] - 2  # dimension of the sphere (x, y) must be
             if d < 0:
                 boundary[y] = {x: 1}
@@ -411,7 +412,7 @@ def _acyclic_below_top_all_ranks(cells, base_deg, d, deg, boundary):
     and r_d = |C_d| - 1 are known; kernel.sparse_rank gives the others.
     """
     levels = [[] for _ in range(d + 1)]
-    for z in _bits(cells):
+    for z in mask_indices(cells):
         k = deg[z] - base_deg - 1
         if 0 <= k <= d:
             levels[k].append(z)
@@ -437,7 +438,7 @@ def _thin_per_pair(poset):
     return all(
         (up[x] & down[y]).bit_count() == 4
         for x in range(len(deg))
-        for y in _bits(up[x])
+        for y in mask_indices(up[x])
         if deg[y] - deg[x] == 2
     )
 
@@ -490,7 +491,7 @@ def _acyclic_below_top_exact(cells, base_deg, d, layers, eps, rank):
         level = cells & layers[base_deg + 1 + k]
         entries = [
             (w, z, a)
-            for z in _bits(level)
+            for z in mask_indices(level)
             for w, a in eps[z].items()
             if cells >> w & 1
         ]

@@ -48,15 +48,15 @@ def test_tables_match_the_masks(p):
     ix = p.index_data()
     n = len(p)
     for i in range(n):
-        assert _slice(ix.below, i) == list(pm._bits(ix.down[i]))
-        assert _slice(ix.above, i) == list(pm._bits(ix.up[i]))
+        assert _slice(ix.below, i) == list(pm.mask_indices(ix.down[i]))
+        assert _slice(ix.above, i) == list(pm.mask_indices(ix.up[i]))
     for table in (ix.below, ix.above):
         assert len(table.start) == n + 1 and table.start[-1] == len(table.flat)
         assert table.flat.itemsize == 4
     assert len(ix.layer_start) == p.rank + 3
     for d in range(p.rank + 2):
         first, last = ix.layer_start[d], ix.layer_start[d + 1]
-        assert list(range(first, last)) == list(pm._bits(ix.layers[d]))
+        assert list(range(first, last)) == list(pm.mask_indices(ix.layers[d]))
     assert ix.layer_start[-1] == n
 
 
@@ -100,13 +100,13 @@ def test_tables_are_decoded_once(monkeypatch):
     p = pm.cube_fan(4)
     p.index_data()
     decoded = []
-    bits = pm._bits
+    bits = pm.mask_indices
 
     def counted(mask):
         decoded.append(mask)
         return bits(mask)
 
-    monkeypatch.setattr(pm, "_bits", counted)
+    monkeypatch.setattr(pm, "mask_indices", counted)
     first = cd_index_flag(p)
     assert cd_index_flag(p) == first
     assert len(decoded) == len(p)

@@ -129,11 +129,11 @@ def test_index_data_matches_covers(rng):
         assert all(list(c) == sorted(c) for c in ix.cov_down + ix.cov_up)
         # j covers i iff the closed interval [i, j] has two elements
         for i in range(len(ids)):
-            above = pm._bits(ix.up[i])
+            above = pm.mask_indices(ix.up[i])
             covering = [j for j in above if (ix.up[i] & ix.down[j]).bit_count() == 2]
             assert list(ix.cov_up[i]) == covering
         for d in range(p.rank + 2):
-            layer = [ids[i] for i in pm._bits(ix.layers[d])]
+            layer = [ids[i] for i in pm.mask_indices(ix.layers[d])]
             assert layer == list(p.elements_of_degree(d))
         # order closure from the covers alone, highest degree first
         above = {}
