@@ -101,11 +101,13 @@ def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
 
 def load_input(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_BAD_INPUT)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON syntax and bytes that are not UTF-8;
+        # RecursionError, arrays or objects nested too deep to decode
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_BAD_INPUT)
     try:
         poset_mod.check_json_shape(data)
@@ -124,8 +126,11 @@ def cmd_gen(args):
         raise CliError(str(exc), EXIT_BAD_INPUT)
     text = p.dumps()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}", EXIT_BAD_INPUT)
     else:
         print(text)
     return EXIT_OK

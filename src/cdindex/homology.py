@@ -145,10 +145,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import kernel
-from .poset import induced_subposet, mask_indices
+from .poset import chain_levels, induced_subposet, mask_indices
 
 
 class SimplicialComplex:
@@ -272,24 +272,15 @@ def reduced_homology(complex_):
 
 
 def _interval_complex(poset, x, y):
-    """Order complex of the open interval (x, y): chains as faces."""
+    """Order complex of the open interval (x, y): chains as faces.  Every
+    maximal chain of (x, y) has deg y - deg x - 1 elements, so the facets
+    are the last level of the chain walk."""
     ix = poset.index_data()
     ids = poset.elements()
     xi, yi = ix.index[x], ix.index[y]
-    mask = ix.up[xi] & ix.down[yi] & ~(1 << xi) & ~(1 << yi)
-    starts = [i for i in mask_indices(mask) if ix.deg[i] == ix.deg[xi] + 1]
-    facets = []
-    stack = [(i, (ids[i],)) for i in starts]
-    end_deg = ix.deg[yi] - 1
-    while stack:
-        i, chain = stack.pop()
-        if ix.deg[i] == end_deg:
-            facets.append(chain)
-            continue
-        for j in ix.cov_up[i]:
-            if mask >> j & 1:
-                stack.append((j, chain + (ids[j],)))
-    return SimplicialComplex(facets)
+    for longest in chain_levels(ix, ix.up[xi] & ix.down[yi] & ~(1 << xi | 1 << yi)):
+        pass
+    return SimplicialComplex([ids[i] for i in ch] for ch in longest if ch)
 
 
 def order_complex(poset):
@@ -576,10 +567,9 @@ def _certify_by_gaps(poset, eps):
         return memo[x, y]
 
     by_ids = lambda face: tuple(sorted(ids[i] for i in face))
-    proper = range(1, top)
-    pairs = ((x, y) for x in proper for y in mask_indices(up[x] & ~(1 << x | 1 << top)))
-    # each group is sorted only once the walk reaches it
-    for faces in ([()], ((x,) for x in proper), pairs):
+    # the faces (), {x} and {x, y}; each level is built and sorted only once
+    # the walk reaches it
+    for faces in islice(chain_levels(ix, up[0] & ~(1 | 1 << top)), 3):
         for face in sorted(faces, key=by_ids):
             vec = (1,)
             for a, b in zip((0,) + face, face + (top,)):

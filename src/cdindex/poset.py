@@ -291,19 +291,19 @@ def mask_indices(mask):
         mask ^= low
 
 
-def _chains(poset):
-    """Yield every chain of proper elements as a tuple sorted by degree: the
-    empty chain first, then breadth-first by length."""
-    yield ()
-    frontier = [(e,) for e in poset.proper_elements()]
-    while frontier:
-        yield from frontier
-        frontier = [
-            ch + (e,)
-            for ch in frontier
-            for e in poset.up_set(ch[-1])
-            if e != ch[-1] and e != poset.top
-        ]
+def chain_levels(ix, mask):
+    """Yield the chains of the elements in ``mask`` level by level: ``[()]``,
+    then the list of k-element chains for k = 1, 2, ... while any exist.
+    ``ix`` is an index_data() view.  A chain is an increasing index tuple, so
+    it comes once and in degree order, and each level is in lexicographic
+    order."""
+    up = ix.up
+    succ = {i: up[i] & mask & ~(1 << i) for i in mask_indices(mask)}
+    yield [()]
+    level = [(i,) for i in succ]
+    while level:
+        yield level
+        level = [ch + (j,) for ch in level for j in mask_indices(succ[ch[-1]])]
 
 
 # -- loading -------------------------------------------------------------------
@@ -691,24 +691,22 @@ class BarycentricResult:
 def barycentric(poset):
     """Barycentric subdivision: the lattice of chains in P minus its ends."""
     n = poset.rank
-    all_chains = list(_chains(poset))
-
-    def name(ch):
-        return "<".join(ch) if ch else BOTTOM
-
-    degrees = {name(ch): len(ch) for ch in all_chains}
-    degrees[TOP] = n + 1
+    ix = poset.index_data()
+    ids, deg = poset.elements(), ix.deg
+    degrees = {TOP: n + 1}
     covers = []
     projection = {BOTTOM: poset.bottom, TOP: poset.top}
     typeset = {BOTTOM: frozenset(), TOP: None}
-    by_signature = {}
-    for ch in all_chains:
-        if ch:
-            projection[name(ch)] = ch[-1]
-            typeset[name(ch)] = frozenset(poset.degree(e) for e in ch)
-        if len(ch) == n:
-            covers.append((name(ch), TOP))
-        for drop in range(len(ch)):
-            covers.append((name(ch[:drop] + ch[drop + 1 :]), name(ch)))
+    name = {}
+    for level in chain_levels(ix, ix.up[0] & ~(1 | 1 << len(ids) - 1)):
+        for ch in level:
+            s = name[ch] = "<".join(ids[i] for i in ch) if ch else BOTTOM
+            degrees[s] = len(ch)
+            if ch:
+                projection[s] = ids[ch[-1]]
+                typeset[s] = frozenset(deg[i] for i in ch)
+            if len(ch) == n:
+                covers.append((s, TOP))
+            covers += [(name[ch[:k] + ch[k + 1 :]], s) for k in range(len(ch))]
     bposet = GradedPoset(n, degrees, covers)
     return BarycentricResult(bposet, projection, typeset)

@@ -18,8 +18,8 @@ from cdindex.homology import (
 )
 from cdindex.poset import (
     GradedPoset,
-    _chains,
     build_family,
+    chain_levels,
     induced_subposet,
     mask_indices,
     star,
@@ -343,12 +343,15 @@ def _certify_by_faces(poset):
                 break
         return HomologyProfile(vec)
 
-    faces = sorted(_chains(poset), key=lambda ch: (len(ch), tuple(sorted(ch))))
-    for chain in faces:
-        expected = HomologyProfile.sphere(n - 1 - len(chain))
-        got = face_profile(chain)
-        if got != expected:
-            return GorensteinCertificate(False, tuple(sorted(chain)), got)
+    ix, ids = poset.index_data(), poset.elements()
+    # the chain walk yields the faces by dimension; each level is sorted by ids
+    for level in chain_levels(ix, ix.up[0] & ~(1 | 1 << len(ids) - 1)):
+        faces = sorted((tuple(ids[i] for i in ch) for ch in level), key=sorted)
+        for chain in faces:
+            expected = HomologyProfile.sphere(n - 1 - len(chain))
+            got = face_profile(chain)
+            if got != expected:
+                return GorensteinCertificate(False, tuple(sorted(chain)), got)
     return GorensteinCertificate(True, None, interval_profile(poset.bottom, poset.top))
 
 
@@ -375,17 +378,29 @@ def reverse_cd(ix):
     return CdPolynomial({w[::-1]: v for w, v in ix.terms.items()})
 
 
+def _derivation(ix, image):
+    """The derivation that sends each letter to the cd-polynomial
+    ``image[letter]``, a dict of words and coefficients, applied to ix."""
+    terms = {}
+    for w, v in ix.terms.items():
+        for i, letter in enumerate(w):
+            for u, a in image[letter].items():
+                u = w[:i] + u + w[i + 1 :]
+                terms[u] = terms.get(u, 0) + a * v
+    return CdPolynomial(terms)
+
+
 def pyramid_derivation(ix):
     """G(ix) for the derivation G with G(c) = d and G(d) = cd: by Ehrenborg
     and Readdy ("Coproducts and the cd-index", J. Algebraic Combin. 1998),
     the pyramid over P has cd-index ix*c + G(ix) when ix is P's."""
-    image = {"c": "d", "d": "cd"}
-    terms = {}
-    for w, v in ix.terms.items():
-        for i, letter in enumerate(w):
-            u = w[:i] + image[letter] + w[i + 1 :]
-            terms[u] = terms.get(u, 0) + v
-    return CdPolynomial(terms)
+    return _derivation(ix, {"c": {"d": 1}, "d": {"cd": 1}})
+
+
+def prism_derivation(ix):
+    """D(ix) for the derivation D with D(c) = 2d and D(d) = cd + dc: by the
+    same paper, the prism over P has cd-index ix*c + D(ix) when ix is P's."""
+    return _derivation(ix, {"c": {"d": 2}, "d": {"cd": 1, "dc": 1}})
 
 
 def minus_facet(p, facet):

@@ -407,3 +407,119 @@ def test_dispatch_reads_the_module_at_call_time(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.what) or 7)
     code, out, _ = run(capsys, "check", "--input", path, "--what", "eulerian")
     assert (code, out, seen) == (7, "", ["eulerian"])
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"\xff", "is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "is not valid JSON"),
+        (b'{"rank": 1, "elem', "is not valid JSON"),
+    ],
+    ids=["not-utf8", "nested-too-deep", "truncated"],
+)
+def test_unparsable_input_exits_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    for argv in (["compute"], ["check", "--what", "eulerian"]):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path} {message}")
+
+
+@pytest.mark.parametrize("target", ["missing/p.json", "."], ids=["no-dir", "is-dir"])
+def test_gen_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "gen", "polygon", "4", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def _poset_body(rank, elements, covers):
+    return {
+        "rank": rank,
+        "elements": [{"id": e, "deg": d} for e, d in elements],
+        "covers": covers,
+    }
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (_poset_body(1, [("b", 0), ("a", 1), ("t", 2)],
+                     [["b", "a"], ["a", "t"], ["a", "zz"]]),
+         "cover mentions unknown element 'zz'"),
+        (_poset_body(-1, [("b", 0)], []), "rank must be >= 0"),
+        (_poset_body(1, [("b1", 0), ("b2", 0), ("a", 1), ("t", 2)],
+                     [["b1", "a"], ["b2", "a"], ["a", "t"]]),
+         "need exactly one degree-0 element, got ['b1', 'b2']"),
+        (_poset_body(1, [("b", 0), ("a", 1), ("t", 2), ("z", 5)],
+                     [["b", "a"], ["a", "t"]]),
+         "degree 5 out of range for rank 1"),
+        (_poset_body(2, [("b", 0), ("a", 1), ("c", 2), ("x", 2), ("t", 3)],
+                     [["b", "a"], ["a", "c"], ["c", "t"], ["x", "t"]]),
+         "element x covers nothing"),
+    ],
+    ids=["unknown-cover", "negative-rank", "two-bottoms", "degree-range",
+         "covers-nothing"],
+)
+def test_graded_poset_axioms_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not a valid poset: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (_poset_body(1, [("a", 1), ("a", 1)], []), "duplicate element ids"),
+        (_poset_body(1, [("_bot", 1)], []), "cannot adjoin bottom: id '_bot' taken"),
+        (_poset_body(1, [("_top", 1)], []), "cannot adjoin top: id '_top' taken"),
+        (_poset_body(2, [("a", 1)], []),
+         "cannot adjoin top above degree != 2: ['a']"),
+    ],
+    ids=["duplicate-ids", "bottom-taken", "top-taken", "top-above-low-degree"],
+)
+def test_from_json_rejections_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path} is not a valid poset: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["compute", "--input", "{polygon}", "--json"], 0,
+         '{"flag": "c^2 + 2*d", "match": true, "operator": "c^2 + 2*d", '
+         '"stanley": "c^2 + 2*d"}\n'),
+        (["shell", "--input", "{polygon}", "--order", "f1", "f2", "f3", "f4",
+          "--json"], 0,
+         '{"cd_index": "c^2 + 2*d", "steps": ['
+         '{"f": "0", "facet": "f2", "g": "1"}, {"f": "0", "facet": "f3", "g": "1"}, '
+         '{"f": "c", "facet": "f4", "g": "0"}]}\n'),
+        (["shell", "--input", "{pyramid}", "--pi", "b:f1", "b:f2", "a:r3", "a:r4",
+          "b:f4", "--json"], 0,
+         '{"cd_index": "c^3 + 3*cd + 3*dc", "pi": ["b:f1", "b:f2", "a:r3", '
+         '"a:r4", "b:f4"]}\n'),
+        (["shell", "--input", "{polygon}", "--order", "f1", "f2"], 2,
+         "error: order must list every maximal element exactly once\n"),
+        (["shell", "--input", "{chain}", "--pi", "x1"], 2,
+         "error: decomposition needs rank >= 2\n"),
+        (["report", "--corpus", ","], 2, "error: empty corpus\n"),
+    ],
+    ids=["compute-all-json", "shell-order-json", "shell-pi-json",
+         "shell-incomplete-order", "shell-pi-rank-1", "empty-corpus"],
+)
+def test_cli_branches(tmp_path, capsys, argv, code, expected):
+    paths = {
+        "{polygon}": gen(tmp_path, capsys, "polygon", "4"),
+        "{pyramid}": gen(tmp_path, capsys, "polygon", "4", "--pyramid"),
+        "{chain}": gen(tmp_path, capsys, "chain", "1"),
+    }
+    got_code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert got_code == code
+    assert (out, err) == ((expected, "") if code == 0 else ("", expected))

@@ -1,9 +1,10 @@
 """Closed-form identities of the cd-index, checked on all three routes.
 
 The dual poset has the reversed index (Stanley, "Flag f-vectors and the
-cd-index", Math. Z. 1994), and the pyramid over P has the index
-Psi(P)*c + G(Psi(P)) for the derivation G(c) = d, G(d) = cd (Ehrenborg and
-Readdy, "Coproducts and the cd-index", J. Algebraic Combin. 1998).  Neither
+cd-index", Math. Z. 1994), the pyramid over P has the index
+Psi(P)*c + G(Psi(P)) for the derivation G(c) = d, G(d) = cd, and the prism
+over P has Psi(P)*c + D(Psi(P)) for D(c) = 2d, D(d) = cd + dc (Ehrenborg and
+Readdy, "Coproducts and the cd-index", J. Algebraic Combin. 1998).  No
 identity shares any code with the routes, so they reach ranks that no
 enumeration does.
 """
@@ -21,6 +22,7 @@ from conftest import (
     dual,
     gorenstein_posets,
     manifold_controls,
+    prism_derivation,
     pyramid_derivation,
     reverse_cd,
 )
@@ -59,6 +61,12 @@ def test_pyramid_derivation_on_words():
     assert pyramid_derivation(ix) == CdPolynomial({"dc": 1, "cd": 4})
 
 
+def test_prism_derivation_on_words():
+    ix = CdPolynomial({"cc": 1, "d": 3})
+    # D(cc) = 2dc + 2cd, D(d) = cd + dc
+    assert prism_derivation(ix) == CdPolynomial({"dc": 5, "cd": 5})
+
+
 @pytest.mark.parametrize(
     "base",
     [
@@ -78,3 +86,12 @@ def test_pyramid_identity_at_scale(base):
     for route in ROUTES:
         ix = route(p)
         assert route(pyr) == ix * c + pyramid_derivation(ix)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_prism_identity_on_cubes(n):
+    # the (n+1)-cube is the prism over the n-cube
+    c = CdPolynomial({"c": 1})
+    for route in ROUTES:
+        ix = route(cube_fan(n))
+        assert route(cube_fan(n + 1)) == ix * c + prism_derivation(ix)

@@ -266,7 +266,11 @@ def test_barycentric_degree_counts_are_chain_counts():
     ids=["polygon5", "chain4", "simplex_fan4", "pyramid_cube_fan3"],
 )
 def test_chain_count_matches_flag_f(p, count):
-    chains = list(pm._chains(p))
+    ix, ids = p.index_data(), p.elements()
+    levels = list(pm.chain_levels(ix, ix.up[0] & ~(1 | 1 << len(ids) - 1)))
+    assert all(len(ch) == k for k, level in enumerate(levels) for ch in level)
+    assert all(level == sorted(level) for level in levels)
+    chains = [tuple(ids[i] for i in ch) for level in levels for ch in level]
     assert chains[0] == ()
     assert all(
         p.degree(x) < p.degree(y) for ch in chains for x, y in zip(ch, ch[1:])
@@ -317,3 +321,31 @@ def test_json_rejects_garbage():
 def test_isomorphism_invariance_under_relabeling(rng):
     for p in [polygon(6), build_pyramid(polygon(4)), cube_fan(3)]:
         assert is_isomorphic(p, relabeled(p, rng))
+
+
+@pytest.mark.parametrize(
+    "members, adjoin_top, message",
+    [
+        ({"r1"}, True, "subposet members must include the bottom"),
+        (set(polygon(3).elements()), True, "cannot adjoin top: id '_top' taken"),
+        ({"_bot", "r1", "r2"}, False, "subposet needs a unique maximal element as top"),
+    ],
+    ids=["no-bottom", "top-taken", "two-maximal"],
+)
+def test_induced_subposet_rejections(members, adjoin_top, message):
+    with pytest.raises(InvalidPoset) as info:
+        induced_subposet(polygon(3), members, adjoin_top=adjoin_top)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [(star, "star of the top is not defined"),
+     (ideal, "ideal of the top is the whole poset")],
+    ids=["star", "ideal"],
+)
+def test_star_and_ideal_of_the_top(build, message):
+    p = polygon(4)
+    with pytest.raises(ValueError) as info:
+        build(p, p.top)
+    assert str(info.value) == message

@@ -264,3 +264,27 @@ def test_shelling_certifies_each_step_once(monkeypatch):
     assert [bool(boundary) for _, _, boundary in steps] == [True] * 3 + [False]
     assert calls == {"boundary_of": 4, "is_gorenstein_star": 4}
     assert shelling_sum(s4, order) == cd_index_flag(s4)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # the third facet meets the first two in an edge and the apex, which
+        # is not graded once a top is adjoined
+        (lambda: shelling_steps(
+            build_pyramid(polygon(4)), ["a:f1", "b:_top", "a:f3", "a:f2", "a:f4"]),
+         ShellingInvalid,
+         "shelling step 3: cover a:_bot < _top jumps from degree 1 to 3"),
+        # the fourth square meets the first three in two opposite edges
+        (lambda: shelling_steps(
+            cube_fan(3), ["**0", "*0*", "**1", "*1*", "0**", "1**"]),
+         ShellingInvalid, "shelling step 4: intersection is not quasi-convex"),
+        (lambda: pi_decomposition(chain(1), []),
+         ValueError, "decomposition needs rank >= 2"),
+    ],
+    ids=["ungraded-intersection", "not-quasi-convex", "pi-rank-1"],
+)
+def test_decomposition_rejections(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
