@@ -112,9 +112,12 @@ def load_input(path):
     try:
         poset_mod.check_json_shape(data)
         check_caps(path, len(data["elements"]), data["rank"])
-        return poset_mod.from_json(data)
+        p, notice = poset_mod._from_checked_json(data)
     except (InvalidPoset, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{path} is not a valid poset: {exc}", EXIT_BAD_INPUT)
+    if notice:
+        print(f"warning: {notice}", file=sys.stderr)
+    return p
 
 
 def cmd_gen(args):

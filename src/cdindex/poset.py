@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -84,6 +85,13 @@ class GradedPoset:
     Comparability is reachability over the cover relation; it is memoized as
     per-element bitmasks because order queries are hot.  Covers raise degree
     by one, which already forces acyclicity.
+
+    Per element, an instance retains its id, its degree, its entry in the
+    id-to-index dict, and the sorted index tuples of its lower and upper
+    covers.  Each cover is thus held twice, once in each direction, and
+    nowhere else: ``covers()`` builds its id pairs from the lower covers on
+    each call.  ``index_data()`` adds per-element masks and, once read,
+    per-pair tables; its docstring gives their sizes.
     """
 
     def __init__(self, rank, degrees, covers):
@@ -98,7 +106,6 @@ class GradedPoset:
             )
         except KeyError as exc:
             raise InvalidPoset(f"cover mentions unknown element {exc}") from None
-        self._cover_pairs = cover_idx
         n = len(ids)
         up = [[] for _ in range(n)]
         down = [[] for _ in range(n)]
@@ -108,11 +115,13 @@ class GradedPoset:
         self._cov_up = tuple(tuple(sorted(u)) for u in up)
         self._cov_down = tuple(tuple(sorted(d)) for d in down)
         self._index_data = None
-        self._validate()
+        # the set lives only here: it deduplicates the covers, and its order
+        # fixes which bad cover _validate names
+        self._validate(cover_idx)
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, cover_idx):
         if self.rank < 0:
             raise InvalidPoset("rank must be >= 0")
         bottoms = [e for e, d in zip(self._ids, self._deg) if d == 0]
@@ -126,7 +135,7 @@ class GradedPoset:
         for d in self._deg:
             if not 0 <= d <= self.rank + 1:
                 raise InvalidPoset(f"degree {d} out of range for rank {self.rank}")
-        for lo, hi in self._cover_pairs:
+        for lo, hi in cover_idx:
             if self._deg[hi] != self._deg[lo] + 1:
                 raise InvalidPoset(
                     f"cover {self._ids[lo]} < {self._ids[hi]} jumps from "
@@ -171,9 +180,10 @@ class GradedPoset:
         return tuple(e for e, dd in zip(self._ids, self._deg) if dd == d)
 
     def covers(self):
-        """Cover pairs (low, high) as ids, sorted."""
+        """Cover pairs (low, high) as ids, sorted and each listed once."""
+        ids = self._ids
         return sorted(
-            (self._ids[lo], self._ids[hi]) for lo, hi in self._cover_pairs
+            (ids[lo], ids[hi]) for hi, low in enumerate(self._cov_down) for lo in low
         )
 
     def upper_covers(self, e):
@@ -196,7 +206,9 @@ class GradedPoset:
         ``index`` maps an id to its index.  ``layer_start[d]`` is the first
         index of degree d (and ``layer_start[rank + 2]`` the element count),
         so degree d holds indices ``layer_start[d] .. layer_start[d + 1] - 1``.
-        Computed once, then shared.
+        Computed once, then shared.  Per element the view adds two masks,
+        ``down[i]`` of i + 1 bits and ``up[i]`` of n bits; ``deg``, the cover
+        tuples and ``index`` are the poset's own, not copies.
 
         The comparability tables ``below`` and ``above`` are built on first
         read, once per poset, so that callers which never read them never pay
@@ -205,11 +217,11 @@ class GradedPoset:
         ``below.flat[below.start[i]:below.start[i + 1]]``, and those of
         ``up[i]`` likewise in ``above``.  Each flat table is one
         ``array("i")``, 4 bytes per comparable pair (i itself included), plus
-        n + 1 offsets.  ``below`` decodes the masks once; ``above`` is its
-        transpose, by a counting sort into a preallocated array.  Since
-        indices follow degree, the elements of one degree window of a list
-        are one slice, found by ``bisect_left`` with the list's bounds as lo
-        and hi.
+        n + 1 offsets, so the two cost 8 bytes per comparable pair once read.
+        ``below`` decodes the masks once; ``above`` is its transpose, by a
+        counting sort into a preallocated array.  Since indices follow
+        degree, the elements of one degree window of a list are one slice,
+        found by ``bisect_left`` with the list's bounds as lo and hi.
         """
         if self._index_data is None:
             n = len(self._ids)
@@ -326,13 +338,15 @@ def check_json_shape(data):
         raise InvalidPoset('"elements" must be a list')
     for el in elements:
         if not isinstance(el, dict) or "id" not in el or not _is_int(el.get("deg")):
-            raise InvalidPoset(f"element {el!r} needs an id and an integer deg")
+            raise InvalidPoset(
+                f"element {reprlib.repr(el)} needs an id and an integer deg"
+            )
     covers = data.get("covers")
     if not isinstance(covers, list):
         raise InvalidPoset('"covers" must be a list')
     for cover in covers:
         if not isinstance(cover, list) or len(cover) != 2:
-            raise InvalidPoset(f"cover {cover!r} is not a two-item list")
+            raise InvalidPoset(f"cover {reprlib.repr(cover)} is not a two-item list")
 
 
 def from_json(data):
@@ -342,6 +356,15 @@ def from_json(data):
     "_bot"/"_top" (a warning notice is emitted when this happens).
     """
     check_json_shape(data)
+    poset, notice = _from_checked_json(data)
+    if notice:
+        warnings.warn(notice, stacklevel=2)
+    return poset
+
+
+def _from_checked_json(data):
+    """from_json on data that passed check_json_shape: the poset and the
+    notice that names the adjoined ends ("" when none was adjoined)."""
     rank = data["rank"]
     degrees = {el["id"]: el["deg"] for el in data["elements"]}
     if len(degrees) != len(data["elements"]):
@@ -370,11 +393,8 @@ def from_json(data):
         covers += [(e, TOP) for e in sorted(maximal)]
         degrees[TOP] = rank + 1
         adjoined.append(TOP)
-    if adjoined:
-        warnings.warn(
-            f"adjoined missing {'/'.join(adjoined)} to poset", stacklevel=2
-        )
-    return GradedPoset(rank, degrees, covers)
+    notice = f"adjoined missing {'/'.join(adjoined)} to poset" if adjoined else ""
+    return GradedPoset(rank, degrees, covers), notice
 
 
 def loads(text):
@@ -522,13 +542,14 @@ def build_pyramid(base):
     rename = {e: (BOTTOM if e == base.bottom else f"b:{e}") for e in base.elements()}
     for e in base.elements():
         degrees[rename[e]] = base.degree(e)
-    for lo, hi in base.covers():
+    base_covers = base.covers()
+    for lo, hi in base_covers:
         covers.append((rename[lo], rename[hi]))
     apex = {e: f"a:{e}" for e in base.elements() if e != base_top}
     for e, ae in apex.items():
         degrees[ae] = base.degree(e) + 1
         covers.append((rename[e], ae))
-    for lo, hi in base.covers():
+    for lo, hi in base_covers:
         if hi != base_top:
             covers.append((apex[lo], apex[hi]))
     degrees[TOP] = n + 2

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import random
 import time
@@ -343,6 +345,45 @@ def test_gen_writes_past_the_rank_cap_only(capsys, monkeypatch):
     assert code == 2 and out == "" and "chain(6) has 8 elements" in err
 
 
+# sha256 prefixes of gen's stdout over the listed parameters, plain and with
+# --pyramid: the JSON a family member serializes to stays byte for byte
+GEN_DIGESTS = {
+    "polygon": ((3, 4, 7), "97debd74ece7f6d9"),
+    "simplex_fan": ((1, 2, 4), "57385a8acf52c993"),
+    "cube_fan": ((1, 2, 4), "53bdad5488ee415a"),
+    "crosspoly_fan": ((1, 2, 4), "b3f55240183821fc"),
+    "chain": ((0, 1, 4), "7b380ad1d0aeb435"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_DIGESTS))
+def test_gen_output_is_pinned(capsys, kind):
+    params, digest = GEN_DIGESTS[kind]
+    h = hashlib.sha256()
+    for n in params:
+        for extra in ([], ["--pyramid"]):
+            if extra and kind == "chain" and n == 0:
+                continue  # a pyramid needs a base of rank >= 1
+            code, out, err = run(capsys, "gen", kind, str(n), *extra)
+            assert (code, err) == (0, "")
+            h.update(out.encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_adjoin_notice_is_one_plain_line(tmp_path, capsys):
+    elements = [("a", 1), ("b", 1)]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(_poset_body(1, elements, [])))
+    closed = tmp_path / "closed.json"
+    closed.write_text(json.dumps(_poset_body(
+        1, [("_bot", 0), *elements, ("_top", 2)],
+        [["_bot", "a"], ["_bot", "b"], ["a", "_top"], ["b", "_top"]])))
+    for argv in (["compute"], ["check", "--what", "eulerian"]):
+        code, out, err = run(capsys, *argv, "--input", str(bare))
+        assert (code, err) == (0, "warning: adjoined missing _bot/_top to poset\n")
+        assert (code, out, "") == run(capsys, *argv, "--input", str(closed))
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a = gen(tmp_path, capsys, "cube_fan", "3")
     text_a = open(a).read()
@@ -369,6 +410,10 @@ def test_unreadable_input(capsys):
         {"rank": 1, "elements": [{"deg": 1}], "covers": []},
         {"rank": 1, "elements": [{"id": "a", "deg": 1}], "covers": [["a"]]},
         {"rank": 1, "elements": [{"id": "a", "deg": 1}], "covers": {"a": "b"}},
+        # the message shows a shortened repr of an entry, however large
+        {"rank": 1, "elements": [{"id": "x" * 5000}], "covers": []},
+        {"rank": 1, "elements": [{"id": functools.reduce(
+            lambda inner, _: [inner], range(900), [])}], "covers": []},
     ],
 )
 def test_malformed_json_shape_exits_2(tmp_path, capsys, body):
@@ -377,6 +422,7 @@ def test_malformed_json_shape_exits_2(tmp_path, capsys, body):
     for argv in (["compute"], ["check", "--what", "eulerian"]):
         code, out, err = run(capsys, *argv, "--input", str(path))
         assert code == 2 and out == "" and "not a valid poset" in err
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 def test_reused_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
@@ -459,9 +505,12 @@ def _poset_body(rank, elements, covers):
         (_poset_body(2, [("b", 0), ("a", 1), ("c", 2), ("x", 2), ("t", 3)],
                      [["b", "a"], ["a", "c"], ["c", "t"], ["x", "t"]]),
          "element x covers nothing"),
+        (_poset_body(1, [("b", 0), ("a", 1), ("t", 2)],
+                     [["b", "a"], ["b", "t"], ["a", "t"], ["b", "t"]]),
+         "cover b < t jumps from degree 0 to 2"),
     ],
     ids=["unknown-cover", "negative-rank", "two-bottoms", "degree-range",
-         "covers-nothing"],
+         "covers-nothing", "degree-jump"],
 )
 def test_graded_poset_axioms_exit_2(tmp_path, capsys, body, message):
     path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,45 @@ def test_builders_validate(rng):
         GradedPoset(p.rank, {e: p.degree(e) for e in p.elements()}, p.covers())
     for _ in range(20):
         random_graded_poset(rng)
+
+
+@pytest.mark.parametrize("kind, n", [("polygon", 5), ("simplex_fan", 4),
+                                     ("cube_fan", 3), ("crosspoly_fan", 3),
+                                     ("chain", 3)])
+def test_covers_are_the_sorted_distinct_input_covers(monkeypatch, rng, kind, n):
+    inputs = []
+    init = GradedPoset.__init__
+
+    def recording_init(self, rank, degrees, covers):
+        covers = list(covers)
+        inputs.append(covers)
+        init(self, rank, degrees, covers)
+
+    monkeypatch.setattr(GradedPoset, "__init__", recording_init)
+    p = build_family(kind, n)
+    q = build_pyramid(p)
+    assert len(inputs) == 2
+    assert p.covers() == sorted(set(inputs[0]))
+    assert q.covers() == sorted(set(inputs[1]))
+    # repeated covers, in any order, are held once
+    covers = inputs[0] * 2 + inputs[0][:3]
+    rng.shuffle(covers)
+    again = GradedPoset(p.rank, {e: p.degree(e) for e in p.elements()}, covers)
+    assert again.covers() == p.covers()
+    assert again.dumps() == p.dumps()
+
+
+def test_a_poset_holds_its_covers_once():
+    # per element a poset keeps its id, degree, index entry and cover lists;
+    # a second, set-based copy of the covers would double its size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        posets = [cube_fan(6) for _ in range(10)]
+        per_poset = (tracemalloc.get_traced_memory()[0] - start) / len(posets)
+    finally:
+        tracemalloc.stop()
+    assert per_poset < 300 * 1024, f"{per_poset / 1024:.0f} KiB per cube_fan(6)"
 
 
 def test_order_queries():
