@@ -23,7 +23,9 @@ from .cdpoly import CdPolynomial, NotACdPolynomial, enumerate_cd_words
 from .flags import cd_index_flag, flag_f, flag_h
 from .homology import is_gorenstein_star
 from .operators import cd_index_operator, operator_walk
-from .poset import InvalidPoset, barycentric, build_family, build_pyramid, is_eulerian
+from .poset import (
+    InvalidPoset, barycentric, brief, build_family, build_pyramid, is_eulerian,
+)
 from .recursion import NonIntegralResult, cd_index_stanley
 from .shelling import (
     PiNotComplete, ShellingInvalid, is_quasi_convex, pi_decomposition, shelling_steps,
@@ -56,20 +58,21 @@ def _cap(name, default):
     try:
         return int(raw) if raw else default
     except ValueError:
-        raise CliError(f"bad {name} value {raw!r}", EXIT_BAD_INPUT)
+        raise CliError(f"bad {name} value {brief(repr(raw))}", EXIT_BAD_INPUT)
 
 
 def check_caps(source, elements, rank=None):
     """Raise a CliError (exit 2) when a poset from ``source`` would have
     more elements than CDINDEX_MAX_ELEMENTS or, unless ``rank`` is None, a
-    rank above CDINDEX_MAX_RANK; the message names the variable to raise."""
+    rank above CDINDEX_MAX_RANK; the message names the variable to raise,
+    and a number of more than 30 digits by its head and tail."""
     for name, default, size, what in (
         ("CDINDEX_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, elements, "{} elements"),
         ("CDINDEX_MAX_RANK", DEFAULT_MAX_RANK, rank, "rank {}"),
     ):
         if size is not None and size > (cap := _cap(name, default)):
             raise CliError(
-                f"{source} has {what.format(size)}, over the cap {cap} "
+                f"{source} has {what.format(brief(size))}, over the cap {cap} "
                 f"(raise {name} to override)",
                 EXIT_BAD_INPUT,
             )
@@ -82,7 +85,7 @@ def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
     base's elements and rank + 1.  The chain count of a subdivision is not
     checked."""
     elements, rank = poset_mod.family_size(kind, n)
-    name = f"{kind}({n})"
+    name = f"{kind}({brief(n)})"
     if pyramid:
         elements, rank, name = 2 * elements, rank + 1, f"pyramid({name})"
     check_caps(name, elements, rank if rank_cap else None)
@@ -90,6 +93,16 @@ def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
     if pyramid:
         p = build_pyramid(p)
     return barycentric(p).bposet if subdivide else p
+
+
+def _integer(text):
+    """int(text), for gen's parameter.  A bad value gets argparse's own
+    message for type=int, with the value cut by poset.brief: int() refuses
+    more than 4,300 digits, and the message would repeat all of them."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {brief(repr(text))}")
 
 
 def load_input(path):
@@ -337,7 +350,7 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a poset JSON file")
     g.add_argument("kind", choices=sorted(poset_mod.FAMILIES))
-    g.add_argument("param", type=int)
+    g.add_argument("param", type=_integer)
     g.add_argument("--pyramid", action="store_true", help="take the pyramid")
     g.add_argument("--barycentric", action="store_true",
                    help="take the barycentric subdivision (after --pyramid)")

@@ -73,19 +73,25 @@ d >= 1 are the bits of up[x] from the first index of degree deg x + 3 on.
 With r_k the rank of the boundary from dimension k to k-1, the reduced
 Betti number b_k is |C_k| - r_k - r_(k+1), and r_0 = 1.  Two checks
 decide an interval:
-- ranks: r_1 makes b_0 = 0, so Delta(x, y) is connected; a connected closed
-  homology d-manifold that is orientable over the field has b_d = 1 and, by
-  Poincare duality, b_k = b_(d-k).  So b_0 .. b_m with m = (d-1) // 2, from
-  r_1 .. r_(m+1), settle every b_k, 0 <= k < d, except the middle one for
-  even d: an interval of dimension d takes at most (d + 1) // 2 ranks.
-  They are taken in increasing k, each level of cells built only when its
-  rank is, and the first k with |C_(k-1)| != r_(k-1) + r_k, a deficit, ends
-  the walk over GF(2).  r_1 is the rank of a graph's incidence matrix,
-  |C_0| minus the number of components, over any field: every vertex v lies
-  on an edge, since (v, y) is a nonempty sphere, and every edge has exactly
-  two vertices (the thin check), so every component has two vertices or
-  more, and when |C_0| <= 3 there is one: r_1 = |C_0| - 1, with no rank
-  taken;
+- connectivity and ranks: b_0 = 0 says that Delta(x, y) is connected; a
+  connected closed homology d-manifold that is orientable over the field
+  has b_d = 1 and, by Poincare duality, b_k = b_(d-k).  So b_0 .. b_m with
+  m = (d-1) // 2 settle every b_k, 0 <= k < d, except the middle one for
+  even d.  b_0 takes no rank.  Each coatom c of [x, y] is adjacent in
+  Delta(x, y) to every atom below it, and every element of (x, y) lies
+  above an atom and below a coatom, so the components of Delta(x, y) are
+  those of the hypergraph on the atoms whose edges are the masks
+  down[c] & atoms, over any field.  A flood over those masks (_connected)
+  finds whether there is only one, and then b_0 = |C_0| - r_0 - r_1 = 0
+  gives r_1 = |C_0| - 1.  Every atom v lies on a 1-cell, since (v, y) is a
+  nonempty sphere, and every 1-cell has exactly two atoms below it (the
+  thin check), so every component has two atoms or more, and when
+  |C_0| <= 3 there is one, with no flood.  b_1 .. b_m come from the GF(2)
+  ranks r_2 .. r_(m+1): an interval of dimension d takes at most
+  (d - 1) // 2 ranks, and none when d <= 2.  They are taken in increasing
+  k, each level of cells built only when its rank is, and the first k with
+  |C_(k-1)| != r_(k-1) + r_k, a deficit, ends the walk over GF(2); a
+  disconnected interval is a deficit at k = 1;
 - Euler characteristic: for even d, the alternating cell count
   sum_(k>=0) (-1)^k |C_k| must be 2, which makes b_(d/2) = 0.  It needs
   no rank, so it comes first; for odd d it is not taken.
@@ -95,12 +101,13 @@ long as no interval has shown a deficit, every interval certified so far is
 a Z/2 homology sphere, so Delta(x, y) is a closed Z/2 homology d-manifold,
 and over Z/2 every such manifold is orientable: Poincare duality and
 "connected implies b_d = 1" hold with no orientation (J. R. Munkres,
-"Elements of Algebraic Topology", 1984, sections 63-65).  The ranks are
-kernel.rank_mod2 of the cover masks, so an interval without a deficit that
-passes the Euler test is a Z/2 homology sphere.  By the universal
-coefficient theorem it is a Q homology sphere as well: H_k(Delta; Z/2) = 0
-for k < d forces H_k(Delta; Z) (x) Z/2 = 0, so H_k has rank 0 there, and
-the Euler characteristic gives b_d = 1 over Q.  A passing poset is
+"Elements of Algebraic Topology", 1984, sections 63-65).  b_0 comes from
+the flood, which holds over every field, and the ranks are kernel.rank_mod2
+of the cover masks, so an interval without a deficit that passes the Euler
+test is a Z/2 homology sphere.  By the universal coefficient theorem it is
+a Q homology sphere as well: H_k(Delta; Z/2) = 0 for k < d forces
+H_k(Delta; Z) (x) Z/2 = 0, so H_k has rank 0 there, and the Euler
+characteristic gives b_d = 1 over Q.  A passing poset is
 certified from cover masks alone, with no signing and no exact rank.
 
 Q route, from the first deficit on.  The first interval that GF(2) leaves
@@ -359,7 +366,7 @@ def _intervals_are_spheres(poset, signing):
     if not _is_thin(ix):
         return False
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
-    start, last = ix.layer_start, poset.rank + 2
+    cov_down, start, last = ix.cov_down, ix.layer_start, poset.rank + 2
     # Only the y with d = deg y - deg x - 2 >= 1 need work (S^-1 and, by the
     # thin check, S^0 hold already).  Indices follow degree order, so these y
     # are the bits of up[x] from layer_start[deg x + 3] on, the first index
@@ -372,7 +379,8 @@ def _intervals_are_spheres(poset, signing):
         s = start[min(base + 3, last)]
         for y in mask_indices(upx >> s << s):
             if not _acyclic_below_top(
-                upx & down[y], base, deg[y] - base - 2, layers, down, signing
+                upx & down[y], base, deg[y] - base - 2, layers, down, cov_down,
+                signing,
             ):
                 return False
     return True
@@ -446,7 +454,7 @@ def _top_cycle(facets, boundary):
     return sign if len(sign) == len(facets) else None
 
 
-def _acyclic_below_top(cells, base_deg, d, layers, down, signing):
+def _acyclic_below_top(cells, base_deg, d, layers, down, cov_down, signing):
     """Whether the cellular complex of [x, y) has no reduced homology in
     dimensions 0 .. d-1, given that Delta(x, y) is a closed homology
     d-manifold and every interval before it passed; ``cells`` is the mask of
@@ -455,48 +463,89 @@ def _acyclic_below_top(cells, base_deg, d, layers, down, signing):
     With r_k the rank of the boundary from dimension k to k-1, Betti number
     k is |C_k| - r_k - r_(k+1), and r_0 = 1.  b_0 = 0 makes Delta(x, y)
     connected, so Poincare duality gives b_k = b_(d-k) and only b_0 .. b_m
-    with m = (d-1) // 2 are computed, from r_1 .. r_(m+1): at most
-    (d + 1) // 2 ranks.  For even d the middle Betti number vanishes when
-    the Euler characteristic is 2, which is tested first, as a running
-    alternating sum of the level sizes.  Then k walks 1 .. m+1, carrying
-    the level C_(k-1) and its rank, and builds only C_k; the walk stops at
-    the first k where b_(k-1) = |C_(k-1)| - r_(k-1) - r_k is not 0.
+    with m = (d-1) // 2 are computed.  For even d the middle Betti number
+    vanishes when the Euler characteristic is 2, which is tested first, as
+    three bit counts for d = 2 and as a running alternating sum of the level
+    sizes otherwise.  b_0 comes from the flood of _connected, which makes
+    r_1 = |C_0| - 1; every component of Delta(x, y) has two atoms or more
+    (each 1-cell has two atoms below it, by the thin check), so when
+    |C_0| <= 3 it is connected with no flood.  That settles every interval
+    with d <= 2, with no rank.  Then k walks 2 .. m+1, carrying the level
+    C_(k-1) and its rank, and builds only C_k; the walk stops at the first
+    k where b_(k-1) = |C_(k-1)| - r_(k-1) - r_k is not 0.
 
     The ranks are taken over GF(2), where the row of z is its lower-cover
-    mask ``down[z]`` restricted to the level below.  r_1 is a graph's
-    incidence rank, |C_0| minus the number of components, and every
-    component has two vertices or more, so r_1 = |C_0| - 1 with no rank
-    taken when |C_0| <= 3.  Up to the first deficit the duality is the one
-    over Z/2, which needs no orientation.  At a deficit (2-torsion, as in
-    RP^3, or a real failure) ``signing()`` gives the cover signing, made
-    on its first call; without one the interval fails, and with one it
-    takes its rational homology from _cellular_homology.  From then on the
-    signing orients every later interval, and a GF(2) pass there is a
-    rational pass (see the module docstring).
+    mask ``down[z]`` restricted to the level below.  Up to the first deficit
+    the duality is the one over Z/2, which needs no orientation.  At a
+    deficit (a disconnected interval, 2-torsion, as in RP^3, or another
+    failure) ``signing()`` gives the cover signing, made on its first call;
+    without one the interval fails, and with one it takes its rational
+    homology from _cellular_homology.  From then on the signing orients
+    every later interval, and a GF(2) pass there is a rational pass (see
+    the module docstring).
     """
     # the cells of degree t, cells & layers[t], are C_(t - base_deg - 1)
-    if d % 2 == 0:
+    atoms = cells & layers[base_deg + 1]
+    size = atoms.bit_count()
+    if d == 2:
+        c_1, c_2 = cells & layers[base_deg + 2], cells & layers[base_deg + 3]
+        if c_2.bit_count() - c_1.bit_count() + size != 2:  # chi
+            return False
+    elif d % 2 == 0:
         # the fold leaves chi = |C_d| - |C_(d-1)| + ... + |C_0|
         chi = 0
         for t in range(base_deg + 1, base_deg + d + 2):
             chi = (cells & layers[t]).bit_count() - chi
         if chi != 2:
             return False
-    below = cells & layers[base_deg + 1]
-    r_below = 1
-    for t in range(base_deg + 2, base_deg + (d - 1) // 2 + 3):
-        level, size = cells & layers[t], below.bit_count()
-        if t == base_deg + 2 and size <= 3:
-            r = size - 1
-        else:
-            r = kernel.rank_mod2([down[z] & below for z in mask_indices(level)])
-        if size != r_below + r:
-            eps = signing()
-            return None not in eps and _cellular_homology(
-                cells, base_deg, d, layers, down, eps
-            ).is_sphere(d)
+    if size > 3 and not _connected(cells, atoms, down, cov_down):
+        return _deficit(cells, base_deg, d, layers, down, signing)
+    if d <= 2:
+        return True
+    below, r_below = cells & layers[base_deg + 2], size - 1
+    for t in range(base_deg + 3, base_deg + (d - 1) // 2 + 3):
+        level = cells & layers[t]
+        r = kernel.rank_mod2([down[z] & below for z in mask_indices(level)])
+        if below.bit_count() != r_below + r:
+            return _deficit(cells, base_deg, d, layers, down, signing)
         below, r_below = level, r
     return True
+
+
+def _connected(cells, atoms, down, cov_down):
+    """Whether Delta(x, y) is connected, for the mask ``cells`` of [x, y]
+    and its atoms ``atoms``, by a flood over the coatoms of [x, y].
+
+    Each coatom c (a lower cover of y with c >= x) is adjacent in
+    Delta(x, y) to every atom below it, and every element of (x, y) lies
+    above an atom and below a coatom.  So the components of Delta(x, y) are
+    those of the hypergraph on the atoms whose edges are the masks
+    down[c] & atoms.  The flood grows one component from the first set,
+    pass after pass, until a pass adds no set to it."""
+    y = cells.bit_length() - 1
+    sets = [down[c] & atoms for c in cov_down[y] if cells >> c & 1]
+    reached, rest = sets[0], sets
+    while rest:
+        apart = []
+        for below_c in rest:
+            if below_c & reached:
+                reached |= below_c
+            else:
+                apart.append(below_c)
+        if len(apart) == len(rest):
+            break
+        rest = apart
+    return reached == atoms
+
+
+def _deficit(cells, base_deg, d, layers, down, signing):
+    """The verdict of _acyclic_below_top on an interval that GF(2) leaves
+    open: False without a cover signing, and otherwise whether its rational
+    homology is that of the d-sphere."""
+    eps = signing()
+    return None not in eps and _cellular_homology(
+        cells, base_deg, d, layers, down, eps
+    ).is_sphere(d)
 
 
 def _cellular_homology(cells, base_deg, d, layers, down, eps):

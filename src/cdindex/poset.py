@@ -32,9 +32,10 @@ class InvalidPoset(ValueError):
     """The data does not satisfy the graded poset axioms."""
 
 
-def _brief(value):
+def brief(value):
     """str(value), or its head and tail around "..." when over 30 characters:
-    the ids and id lists in an InvalidPoset message, cut only when raising."""
+    the ids and id lists in an InvalidPoset message, and the numbers in the
+    command line's messages, cut only when raising."""
     text = str(value)
     return text if len(text) <= 30 else f"{text[:18]}...{text[-9:]}"
 
@@ -113,7 +114,7 @@ class GradedPoset:
             )
         except KeyError as exc:
             raise InvalidPoset(
-                f"cover mentions unknown element {_brief(exc)}"
+                f"cover mentions unknown element {brief(exc)}"
             ) from None
         n = len(ids)
         up = [[] for _ in range(n)]
@@ -138,30 +139,30 @@ class GradedPoset:
         tops = [e for e, d in zip(ids, deg) if d == self.rank + 1]
         if len(bottoms) != 1:
             raise InvalidPoset(
-                f"need exactly one degree-0 element, got {_brief(bottoms)}"
+                f"need exactly one degree-0 element, got {brief(bottoms)}"
             )
         if len(tops) != 1:
             raise InvalidPoset(
-                f"need exactly one degree-{self.rank + 1} element, got {_brief(tops)}"
+                f"need exactly one degree-{self.rank + 1} element, got {brief(tops)}"
             )
         for d in deg:
             if not 0 <= d <= self.rank + 1:
                 raise InvalidPoset(
-                    f"degree {_brief(d)} out of range for rank {self.rank}"
+                    f"degree {brief(d)} out of range for rank {self.rank}"
                 )
         for lo, hi in cover_idx:
             if deg[hi] != deg[lo] + 1:
                 raise InvalidPoset(
-                    f"cover {_brief(ids[lo])} < {_brief(ids[hi])} jumps from "
+                    f"cover {brief(ids[lo])} < {brief(ids[hi])} jumps from "
                     f"degree {deg[lo]} to {deg[hi]}"
                 )
         top_i = self._index[tops[0]]
         bot_i = self._index[bottoms[0]]
         for i in range(len(ids)):
             if i != top_i and not self._cov_up[i]:
-                raise InvalidPoset(f"element {_brief(ids[i])} has nothing above it")
+                raise InvalidPoset(f"element {brief(ids[i])} has nothing above it")
             if i != bot_i and not self._cov_down[i]:
-                raise InvalidPoset(f"element {_brief(ids[i])} covers nothing")
+                raise InvalidPoset(f"element {brief(ids[i])} covers nothing")
 
     # -- basic queries ---------------------------------------------------------
 
@@ -377,7 +378,7 @@ def from_checked_json(data):
         minimal = [e for e in degrees if e not in has_lower]
         bad = [e for e in minimal if degrees[e] != 1]
         if bad:
-            raise InvalidPoset(f"cannot adjoin bottom below degree != 1: {_brief(bad)}")
+            raise InvalidPoset(f"cannot adjoin bottom below degree != 1: {brief(bad)}")
         covers += [(BOTTOM, e) for e in sorted(minimal)]
         degrees[BOTTOM] = 0
         adjoined.append(BOTTOM)
@@ -389,7 +390,7 @@ def from_checked_json(data):
         bad = [e for e in maximal if degrees[e] != rank]
         if bad:
             raise InvalidPoset(
-                f"cannot adjoin top above degree != {rank}: {_brief(bad)}"
+                f"cannot adjoin top above degree != {rank}: {brief(bad)}"
             )
         covers += [(e, TOP) for e in sorted(maximal)]
         degrees[TOP] = rank + 1

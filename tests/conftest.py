@@ -279,6 +279,16 @@ def antipodal_quotient(p):
     return GradedPoset(p.rank, degrees, covers)
 
 
+def glued_spheres(p):
+    """Two copies of ``p`` glued at their bottom and top: the proper part is
+    two disjoint copies of p's, so the whole is disconnected and every
+    proper interval is one of p's."""
+    name = lambda e, i: e if e in (p.bottom, p.top) else f"{i}:{e}"
+    degrees = {name(e, i): p.degree(e) for i in (1, 2) for e in p.elements()}
+    covers = sorted({(name(lo, i), name(hi, i)) for i in (1, 2) for lo, hi in p.covers()})
+    return GradedPoset(p.rank, degrees, covers)
+
+
 def manifold_controls():
     """Closed manifolds whose proper intervals are all spheres, with the
     reduced Betti numbers of the whole (from dimension -1)."""
@@ -291,7 +301,32 @@ def manifold_controls():
             [0, 0, 1, 0, 1, 1],
         ),
         "pinched icosahedron": (pinched_icosahedron(), [0, 0, 1, 1]),
+        "two 3-spheres": (
+            glued_spheres(poset_mod.simplex_fan(4)), [0, 1, 0, 0, 2]
+        ),
     }
+
+
+def is_lattice(p):
+    """Whether every two elements of the bounded poset ``p`` have a join, from
+    the masks: the common upper bounds up[x] & up[y] must all lie above one
+    of them.  Indices follow degree, so that one can only be the lowest."""
+    up = p.index_data().up
+    for x, y in itertools.combinations(range(len(up)), 2):
+        common = up[x] & up[y]
+        least = (common & -common).bit_length() - 1
+        if common & ~up[least]:
+            return False
+    return True
+
+
+def digon():
+    """Rank 2: two vertices joined by two edges, the face poset of a regular
+    CW circle that is not a lattice.  polygon refuses k = 2."""
+    degrees = {"_bot": 0, "a": 1, "b": 1, "e1": 2, "e2": 2, "_top": 3}
+    covers = [("_bot", "a"), ("_bot", "b"), ("e1", "_top"), ("e2", "_top")]
+    covers += [(v, e) for v in "ab" for e in ("e1", "e2")]
+    return GradedPoset(2, degrees, covers)
 
 
 def has_face(complex_, face):

@@ -305,6 +305,46 @@ def test_max_rank_cap(tmp_path, capsys, monkeypatch):
     assert code == 1 and json.loads(out) == {"eulerian": False}
 
 
+def test_long_numbers_give_one_short_line(tmp_path, capsys, monkeypatch):
+    # each number of more than 30 digits is cut to its head and tail
+    huge = "1" + "0" * 3000
+    code, out, err = run(capsys, "gen", "chain", huge)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: chain(100000000000000000...000000000) has "
+        "100000000000000000...000000002 elements, over the cap 20000 "
+        "(raise CDINDEX_MAX_ELEMENTS to override)\n"
+    )
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"rank": 10**4000, "elements": [], "covers": []}))
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: {path} has rank 100000000000000000...000000000, over the cap "
+        "16 (raise CDINDEX_MAX_RANK to override)\n"
+    )
+    monkeypatch.setenv("CDINDEX_MAX_RANK", "7" * 5000)
+    code, out, err = run(capsys, "compute", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: bad CDINDEX_MAX_RANK value '77777777777777777...77777777'\n"
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [("x", "'x'"), ("9" * 5000, "'99999999999999999...99999999'")],
+    ids=["short", "over-4300-digits"],
+)
+def test_gen_param_that_is_no_integer(capsys, param, value):
+    # argparse's usage, then its one error line, as for type=int; int()
+    # refuses the 5,000 digits, and the message cuts them
+    code, out, err = run(capsys, "gen", "chain", param)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: cdindex gen ")
+    line = err.splitlines()[-1]
+    assert line == f"cdindex gen: error: argument param: invalid int value: {value}"
+    assert len(line) < 200
+
+
 @pytest.mark.parametrize("kind", sorted(poset_mod.FAMILIES))
 def test_family_sizes_match_builders(kind):
     # the closed forms the caps are checked on, against what gets built

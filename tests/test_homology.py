@@ -12,6 +12,7 @@ from cdindex.homology import (
     HomologyProfile,
     SimplicialComplex,
     _acyclic_below_top,
+    _connected,
     _intervals_are_spheres,
     _is_thin,
     _sign_covers,
@@ -21,7 +22,6 @@ from cdindex.homology import (
     reduced_homology,
 )
 from cdindex.poset import (
-    GradedPoset,
     barycentric,
     build_pyramid,
     chain,
@@ -43,7 +43,9 @@ from conftest import (
     TORUS_7,
     _certify_by_faces,
     antipodal_quotient,
+    digon,
     face_poset,
+    glued_spheres,
     has_face,
     link,
     manifold_controls,
@@ -458,13 +460,7 @@ def test_thin_check_matches_per_pair_oracle(p):
 def two_digons():
     """Rank 2: two disjoint digons, each two vertices joined by two edges.
     It is Eulerian and thin, but its proper part is two circles."""
-    edges = {"e1": "ab", "e2": "ab", "e3": "cd", "e4": "cd"}
-    degrees = {"_bot": 0, "_top": 3} | dict.fromkeys("abcd", 1)
-    degrees |= dict.fromkeys(edges, 2)
-    covers = [("_bot", v) for v in "abcd"]
-    covers += [(v, e) for e, ends in edges.items() for v in ends]
-    covers += [(e, "_top") for e in edges]
-    return GradedPoset(2, degrees, covers)
+    return glued_spheres(digon())
 
 
 def test_two_disjoint_digons_are_rejected():
@@ -524,8 +520,8 @@ def test_mod2_acceptance_implies_exact_acceptance(p):
     # one
     seen = []
 
-    def checked(cells, base_deg, d, layers, down, signing):
-        got = _acyclic_below_top(cells, base_deg, d, layers, down, signing)
+    def checked(cells, base_deg, d, layers, down, cov_down, signing):
+        got = _acyclic_below_top(cells, base_deg, d, layers, down, cov_down, signing)
         eps = signing()
         # the signed tests need a signing; a poset without one fails at its
         # first GF(2) deficit, if not before
@@ -549,13 +545,16 @@ def test_mod2_acceptance_implies_exact_acceptance(p):
 
 # the dimension d of the interval at which the fast route rejects each
 # control first: the pinch vertex's link (two pentagons, d = 1) fails the
-# rank r_1 (b_0 = 1); the 3-torus fails the rank r_2 (b_1 = 3) on the whole,
-# and S2 x S2 and S1 x S3 the Euler characteristic of the whole
+# flood (b_0 = 1); the 3-torus fails the rank r_2 (b_1 = 3) on the whole,
+# and S2 x S2 and S1 x S3 the Euler characteristic of the whole; the two
+# 3-spheres fail the flood on the whole, at odd d, where no Euler test is
+# taken
 FIRST_REJECTION = {
     "cubical 3-torus": 3,
     "S2 x S2": 4,
     "S1 x S3": 4,
     "pinched icosahedron": 1,
+    "two 3-spheres": 3,
 }
 
 
@@ -585,6 +584,64 @@ def test_manifold_controls_are_rejected(name, monkeypatch):
     assert cert == _certify_by_faces(p).to_json()
 
 
+# -- the rank r_1, kept as the oracle for the connectivity flood --------------
+
+
+def _rank_connected(ix, cells, base_deg):
+    """|C_0| - r_1 == 1 for the cellular complex of [x, y): r_1 is the GF(2)
+    rank of the atom masks of the edges (the cells of degree deg x + 2),
+    |C_0| minus the number of components of the graph of atoms and edges
+    when every edge has two atoms (the thin check)."""
+    atoms = cells & ix.layers[base_deg + 1]
+    edges = cells & ix.layers[base_deg + 2]
+    r_1 = kernel.rank_mod2([ix.down[z] & atoms for z in mask_indices(edges)])
+    return atoms.bit_count() - r_1 == 1
+
+
+def flood_and_rank(p):
+    """(connected by the flood, connected by r_1) for every interval (x, y)
+    with d >= 1 of the thin poset ``p``, for those whose intervals (x, c),
+    c a coatom of [x, y] with d >= 1, r_1 finds connected.  The edges join
+    only atoms below one coatom, so a graph connected by r_1 is connected
+    for the flood; the converse needs each coatom's atoms joined by edges,
+    which the certification walk has checked before it reaches (x, y)."""
+    ix = p.index_data()
+    up, down, deg, layers = ix.up, ix.down, ix.deg, ix.layers
+    by_rank, verdicts = {}, []
+    # mask_indices yields the elements above x increasingly, so (x, c) comes
+    # before (x, y) for every coatom c of [x, y]
+    for x in range(len(deg)):
+        for y in mask_indices(up[x]):
+            if deg[y] - deg[x] < 3:
+                continue
+            cells = up[x] & down[y]
+            atoms = cells & layers[deg[x] + 1]
+            rank = by_rank[x, y] = _rank_connected(ix, cells, deg[x])
+            flood = _connected(cells, atoms, down, ix.cov_down)
+            assert flood or not rank, (x, y)
+            coatoms = [c for c in ix.cov_down[y] if cells >> c & 1]
+            if all(by_rank.get((x, c), True) for c in coatoms):
+                verdicts.append((flood, rank))
+    return verdicts
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.one_of(ORACLE_INPUTS, antipodal_posets()))
+def test_flood_matches_rank_connectivity(p):
+    if _is_thin(p.index_data()):
+        for flood, rank in flood_and_rank(p):
+            assert flood == rank
+
+
+def test_flood_matches_rank_connectivity_on_the_controls():
+    controls = [p for p, _ in manifold_controls().values()] + [two_digons()]
+    verdicts = [v for p in controls for v in flood_and_rank(p)]
+    assert all(flood == rank for flood, rank in verdicts)
+    # the pinch vertex's link, the two digons and the two 3-spheres: the
+    # corpus holds disconnected intervals at d = 1 and at d = 3
+    assert verdicts.count((False, False)) == 3
+
+
 def test_passing_spheres_need_no_exact_rank(monkeypatch):
     # nor a signing of the covers: GF(2) certifies them from the masks alone
     import cdindex.homology as homology
@@ -608,6 +665,36 @@ def test_passing_spheres_need_no_exact_rank(monkeypatch):
     assert signings == []
 
 
+def test_no_rank_below_dimension_three(monkeypatch):
+    # the flood decides b_0, so an interval with d <= 2 takes no GF(2) rank;
+    # with r_1 as a rank the three members took 479, 270 and 270 of them
+    import cdindex.homology as homology
+
+    rank, check = kernel.rank_mod2, homology._acyclic_below_top
+    calls, ranked = [], []
+
+    def counting(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    def spy(cells, base_deg, d, *rest):
+        before = len(calls)
+        ok = check(cells, base_deg, d, *rest)
+        if len(calls) > before:
+            ranked.append(d)
+        return ok
+
+    monkeypatch.setattr(kernel, "rank_mod2", counting)
+    monkeypatch.setattr(homology, "_acyclic_below_top", spy)
+    for p, most in [(build_pyramid(simplex_fan(5)), 100),
+                    (build_pyramid(cube_fan(4)), 27),
+                    (build_pyramid(crosspoly_fan(4)), 27)]:
+        calls.clear()
+        assert is_gorenstein_star(p)
+        assert 0 < len(calls) <= most
+    assert min(ranked) == 3
+
+
 def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
     # the loop cuts each base's elements above it to those of degree at least
     # deg x + 3 before decoding; every interval of these spheres passes, so
@@ -616,10 +703,10 @@ def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
 
     check, seen = homology._acyclic_below_top, []
 
-    def spy(cells, base_deg, d, layers, down, signing):
+    def spy(cells, base_deg, d, layers, down, cov_down, signing):
         # cells is the mask of [x, y]: x is its lowest bit and y its highest
         seen.append(((cells & -cells).bit_length() - 1, cells.bit_length() - 1, d))
-        return check(cells, base_deg, d, layers, down, signing)
+        return check(cells, base_deg, d, layers, down, cov_down, signing)
 
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
     for p in [build_pyramid(simplex_fan(5)), simplex_fan(6), cube_fan(5),
