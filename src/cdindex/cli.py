@@ -82,8 +82,8 @@ def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
     """build_family(kind, n), then its pyramid and its barycentric
     subdivision as asked, once check_caps passes the closed-form size of the
     member or its pyramid (poset.family_size): a pyramid has twice its
-    base's elements and rank + 1.  The chain count of a subdivision is not
-    checked."""
+    base's elements and rank + 1.  A subdivision is built only once its
+    element count, walked on the built base, passes the element cap too."""
     elements, rank = poset_mod.family_size(kind, n)
     name = f"{kind}({brief(n)})"
     if pyramid:
@@ -92,7 +92,31 @@ def _build(kind, n, pyramid=False, subdivide=False, rank_cap=True):
     p = build_family(kind, n)
     if pyramid:
         p = build_pyramid(p)
-    return barycentric(p).bposet if subdivide else p
+    if subdivide:
+        check_caps(f"barycentric({name})", _subdivision_size(p))
+        p = barycentric(p).bposet
+    return p
+
+
+def _subdivision_size(p):
+    """Element count of barycentric(p): the chains of p's proper part, the
+    empty chain included, and the top.  It stops once past the element cap,
+    so a count over the cap may be a lower bound, as is 2^rank + 1 (the
+    subchains of one maximal chain), which spares a long chain its masks."""
+    cap = _cap("CDINDEX_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
+    if (size := 2 ** min(p.rank, 64) + 1) > cap:
+        return size
+    ix = p.index_data()
+    # chains by their largest element, in index order: the elements below i
+    # come first, and the bottom's count and i's own stay 0 while summed
+    ending = [0] * len(ix.deg)
+    size = 2
+    for i in range(1, len(ix.deg) - 1):
+        ending[i] = 1 + sum(ending[j] for j in poset_mod.mask_indices(ix.down[i]))
+        size += ending[i]
+        if size > cap:
+            break
+    return size
 
 
 def _integer(text):
@@ -297,7 +321,11 @@ def parse_corpus(text):
             for v in values:
                 members.append((f"{family}:{v}", _build(family, v)))
         except (IndexError, ValueError, KeyError) as exc:
-            raise CliError(f"bad corpus entry {token!r}: {exc}", EXIT_BAD_INPUT)
+            message = f"bad corpus entry {token!r}: {exc}"
+            if len(f"error: {message}") >= 200:
+                # cut the entry and the error text, which may repeat it
+                message = f"bad corpus entry {brief(repr(token))}: {brief(exc)}"
+            raise CliError(message, EXIT_BAD_INPUT)
     if not members:
         raise CliError("empty corpus", EXIT_BAD_INPUT)
     return members

@@ -49,9 +49,9 @@ class FlatTable(NamedTuple):
 
 @dataclass(frozen=True)
 class IndexData:
-    """Degrees, order masks, degree layers and their first indices, covers
-    and the id map by element index, and the comparability tables built from
-    the masks on first use; see GradedPoset.index_data."""
+    """Degrees, order masks, degree layers and their first indices, lower
+    covers and the id map by element index, and the comparability tables
+    built from the masks on first use; see GradedPoset.index_data."""
 
     deg: tuple
     down: tuple
@@ -59,7 +59,6 @@ class IndexData:
     layers: tuple
     layer_start: tuple
     cov_down: tuple
-    cov_up: tuple
     index: dict
 
     @cached_property
@@ -95,11 +94,11 @@ class GradedPoset:
     by one, which already forces acyclicity.
 
     Per element, an instance retains its id, its degree, its entry in the
-    id-to-index dict, and the sorted index tuples of its lower and upper
-    covers.  Each cover is thus held twice, once in each direction, and
-    nowhere else: ``covers()`` builds its id pairs from the lower covers on
-    each call.  ``index_data()`` adds per-element masks and, once read,
-    per-pair tables; its docstring gives their sizes.
+    id-to-index dict, and the sorted index tuple of its lower covers.  Each
+    cover is thus held once and nowhere else: ``covers()`` builds its id
+    pairs from the lower covers on each call, and ``upper_covers()`` reads
+    the up masks of ``index_data()``.  That view adds per-element masks and,
+    once read, per-pair tables; its docstring gives their sizes.
     """
 
     def __init__(self, rank, degrees, covers):
@@ -116,13 +115,9 @@ class GradedPoset:
             raise InvalidPoset(
                 f"cover mentions unknown element {brief(exc)}"
             ) from None
-        n = len(ids)
-        up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
+        down = [[] for _ in ids]
         for lo, hi in cover_idx:
-            up[lo].append(hi)
             down[hi].append(lo)
-        self._cov_up = tuple(tuple(sorted(u)) for u in up)
         self._cov_down = tuple(tuple(sorted(d)) for d in down)
         self._index_data = None
         # the set lives only here: it deduplicates the covers, and its order
@@ -156,12 +151,12 @@ class GradedPoset:
                     f"cover {brief(ids[lo])} < {brief(ids[hi])} jumps from "
                     f"degree {deg[lo]} to {deg[hi]}"
                 )
-        top_i = self._index[tops[0]]
-        bot_i = self._index[bottoms[0]]
+        # with the degrees in range, the bottom is index 0 and the top the last
+        has_upper = {lo for lo, _ in cover_idx}
         for i in range(len(ids)):
-            if i != top_i and not self._cov_up[i]:
+            if i < len(ids) - 1 and i not in has_upper:
                 raise InvalidPoset(f"element {brief(ids[i])} has nothing above it")
-            if i != bot_i and not self._cov_down[i]:
+            if i > 0 and not self._cov_down[i]:
                 raise InvalidPoset(f"element {brief(ids[i])} covers nothing")
 
     # -- basic queries ---------------------------------------------------------
@@ -202,7 +197,12 @@ class GradedPoset:
         )
 
     def upper_covers(self, e):
-        return tuple(self._ids[i] for i in self._cov_up[self._index[e]])
+        # covers raise degree by one: the elements above e one degree up
+        if e == self.top:
+            return ()
+        ix, i = self.index_data(), self._index[e]
+        above = ix.up[i] & ix.layers[ix.deg[i] + 1]
+        return tuple(self._ids[j] for j in mask_indices(above))
 
     def lower_covers(self, e):
         return tuple(self._ids[i] for i in self._cov_down[self._index[e]])
@@ -216,14 +216,15 @@ class GradedPoset:
         the elements of degree <= d are a prefix of them.  ``deg[i]`` is the
         degree of element i; bit j of ``down[i]`` is set iff j <= i and bit j
         of ``up[i]`` iff j >= i; ``layers[d]`` is the mask of the elements of
-        degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` and ``cov_up[i]``
-        are the sorted indices that element i covers and that cover it, and
-        ``index`` maps an id to its index.  ``layer_start[d]`` is the first
-        index of degree d (and ``layer_start[rank + 2]`` the element count),
-        so degree d holds indices ``layer_start[d] .. layer_start[d + 1] - 1``.
-        Computed once, then shared.  Per element the view adds two masks,
-        ``down[i]`` of i + 1 bits and ``up[i]`` of n bits; ``deg``, the cover
-        tuples and ``index`` are the poset's own, not copies.
+        degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` holds the sorted
+        indices that element i covers (those that cover it are the set bits
+        of ``up[i] & layers[deg[i] + 1]``), and ``index`` maps an id to its
+        index.  ``layer_start[d]`` is the first index of degree d (and
+        ``layer_start[rank + 2]`` the element count), so degree d holds
+        indices ``layer_start[d] .. layer_start[d + 1] - 1``.  Computed once,
+        then shared.  Per element the view adds two masks, ``down[i]`` of
+        i + 1 bits and ``up[i]`` of n bits; ``deg``, the cover tuples and
+        ``index`` are the poset's own, not copies.
 
         The comparability tables ``below`` and ``above`` are built on first
         read, once per poset, so that callers which never read them never pay
@@ -240,26 +241,26 @@ class GradedPoset:
         """
         if self._index_data is None:
             n = len(self._ids)
-            # indices are sorted by degree, so every lower cover comes first
+            # indices are sorted by degree, so down masks pulled up the lower
+            # covers and up masks pushed down them are final when read
             down = [0] * n
             for i in range(n):
                 m = 1 << i
                 for j in self._cov_down[i]:
                     m |= down[j]
                 down[i] = m
-            up = [0] * n
+            up = [1 << i for i in range(n)]
             for i in reversed(range(n)):
-                m = 1 << i
-                for j in self._cov_up[i]:
-                    m |= up[j]
-                up[i] = m
+                m = up[i]
+                for j in self._cov_down[i]:
+                    up[j] |= m
             layers = [0] * (max(self._deg, default=0) + 1)
             for i, d in enumerate(self._deg):
                 layers[d] |= 1 << i
             layer_start = accumulate((m.bit_count() for m in layers), initial=0)
             self._index_data = IndexData(
                 self._deg, tuple(down), tuple(up), tuple(layers),
-                tuple(layer_start), self._cov_down, self._cov_up, self._index,
+                tuple(layer_start), self._cov_down, self._index,
             )
         return self._index_data
 
@@ -370,6 +371,17 @@ def from_checked_json(data):
     if len(degrees) != len(data["elements"]):
         raise InvalidPoset("duplicate element ids")
     covers = [(lo, hi) for lo, hi in data["covers"]]
+    poset, adjoined = _close(rank, degrees, covers)
+    notice = f"adjoined missing {'/'.join(adjoined)} to poset" if adjoined else ""
+    return poset, notice
+
+
+def _close(rank, degrees, covers):
+    """GradedPoset(rank, degrees, covers), extended in place by its missing
+    ends, and the ids adjoined: the loader's and every builder's rule.  With
+    no element of degree 0, "_bot" goes below the minimal elements, which
+    must have degree 1; with none of degree rank + 1, "_top" goes above the
+    maximal ones, which must have degree rank."""
     adjoined = []
     if not any(d == 0 for d in degrees.values()):
         if BOTTOM in degrees:
@@ -395,8 +407,7 @@ def from_checked_json(data):
         covers += [(e, TOP) for e in sorted(maximal)]
         degrees[TOP] = rank + 1
         adjoined.append(TOP)
-    notice = f"adjoined missing {'/'.join(adjoined)} to poset" if adjoined else ""
-    return GradedPoset(rank, degrees, covers), notice
+    return GradedPoset(rank, degrees, covers), adjoined
 
 
 def loads(text):
@@ -410,16 +421,14 @@ def polygon(k):
     """Complete 2-dimensional fan with k maximal cones (boundary of a k-gon)."""
     if k < 3:
         raise ValueError("polygon needs k >= 3")
-    degrees = {BOTTOM: 0, TOP: 3}
+    degrees = {}
     covers = []
     for i in range(1, k + 1):
         degrees[f"r{i}"] = 1
         degrees[f"f{i}"] = 2
-        covers.append((BOTTOM, f"r{i}"))
-        covers.append((f"f{i}", TOP))
         covers.append((f"r{i}", f"f{i}"))
         covers.append((f"r{i % k + 1}", f"f{i}"))
-    return GradedPoset(2, degrees, covers)
+    return _close(2, degrees, covers)[0]
 
 
 def simplex_fan(n):
@@ -427,23 +436,15 @@ def simplex_fan(n):
     (n+1)-set ordered by inclusion), rank n."""
     if n < 1:
         raise ValueError("simplex_fan needs n >= 1")
-    verts = range(1, n + 2)
-    degrees = {BOTTOM: 0, TOP: n + 1}
+    verts = [str(v) for v in range(1, n + 2)]
+    degrees = {}
     covers = []
-    subsets = []
     for size in range(1, n + 1):
-        subsets += [frozenset(s) for s in itertools.combinations(verts, size)]
-    name = lambda s: ".".join(str(v) for v in sorted(s))
-    for s in subsets:
-        degrees[name(s)] = len(s)
-        if len(s) == 1:
-            covers.append((BOTTOM, name(s)))
-        if len(s) == n:
-            covers.append((name(s), TOP))
-        for v in s:
-            if len(s) > 1:
-                covers.append((name(s - {v}), name(s)))
-    return GradedPoset(n, degrees, covers)
+        for s in itertools.combinations(verts, size):
+            degrees[name := ".".join(s)] = size
+            if size > 1:
+                covers += [(".".join(s[:k] + s[k + 1 :]), name) for k in range(size)]
+    return _close(n, degrees, covers)[0]
 
 
 def cube_fan(n):
@@ -451,7 +452,7 @@ def cube_fan(n):
     (one letter per axis, * marking free axes), empty face as bottom."""
     if n < 1:
         raise ValueError("cube_fan needs n >= 1")
-    degrees = {BOTTOM: 0, TOP: n + 1}
+    degrees = {}
     covers = []
     for word in itertools.product("01*", repeat=n):
         stars = word.count("*")
@@ -459,15 +460,10 @@ def cube_fan(n):
             continue  # the whole cube is the adjoined top
         w = "".join(word)
         degrees[w] = stars + 1
-        if stars == 0:
-            covers.append((BOTTOM, w))
-        if stars == n - 1:
-            covers.append((w, TOP))
-        for i, ch in enumerate(word):
-            if ch == "*" and stars >= 1:
-                for fixed in "01":
-                    covers.append((w[:i] + fixed + w[i + 1 :], w))
-    return GradedPoset(n, degrees, covers)
+        covers += [
+            (w[:i] + f + w[i + 1 :], w) for i in range(n) if w[i] == "*" for f in "01"
+        ]
+    return _close(n, degrees, covers)[0]
 
 
 def crosspoly_fan(n):
@@ -475,7 +471,7 @@ def crosspoly_fan(n):
     subset of axes, written as words over +/-/0."""
     if n < 1:
         raise ValueError("crosspoly_fan needs n >= 1")
-    degrees = {BOTTOM: 0, TOP: n + 1}
+    degrees = {}
     covers = []
     for word in itertools.product("+-0", repeat=n):
         size = n - word.count("0")
@@ -483,14 +479,9 @@ def crosspoly_fan(n):
             continue
         w = "".join(word)
         degrees[w] = size
-        if size == 1:
-            covers.append((BOTTOM, w))
-        if size == n:
-            covers.append((w, TOP))
-        for i, ch in enumerate(word):
-            if ch != "0" and size >= 2:
-                covers.append((w[:i] + "0" + w[i + 1 :], w))
-    return GradedPoset(n, degrees, covers)
+        if size >= 2:
+            covers += [(w[:i] + "0" + w[i + 1 :], w) for i in range(n) if w[i] != "0"]
+    return _close(n, degrees, covers)[0]
 
 
 def chain(r):
@@ -498,15 +489,9 @@ def chain(r):
     control)."""
     if r < 0:
         raise ValueError("chain needs r >= 0")
-    degrees = {BOTTOM: 0, TOP: r + 1}
-    covers = []
-    prev = BOTTOM
-    for i in range(1, r + 1):
-        degrees[f"x{i}"] = i
-        covers.append((prev, f"x{i}"))
-        prev = f"x{i}"
-    covers.append((prev, TOP))
-    return GradedPoset(r, degrees, covers)
+    degrees = {f"x{i}": i for i in range(1, r + 1)}
+    covers = [(f"x{i}", f"x{i + 1}") for i in range(1, r)]
+    return _close(r, degrees, covers)[0]
 
 
 # family name -> (builder, n -> (element count, rank) of builder(n) in
@@ -549,28 +534,16 @@ def build_pyramid(base):
     """
     if base.rank < 1:
         raise ValueError("pyramid base must have rank >= 1")
-    n = base.rank
-    degrees = {}
-    covers = []
-    base_top = base.top
-    rename = {e: (BOTTOM if e == base.bottom else f"b:{e}") for e in base.elements()}
-    for e in base.elements():
-        degrees[rename[e]] = base.degree(e)
+    ids, base_top = base.elements(), base.top
+    rename = {e: (BOTTOM if e == base.bottom else f"b:{e}") for e in ids}
+    apex = {e: f"a:{e}" for e in ids if e != base_top}
+    degrees = {rename[e]: base.degree(e) for e in ids}
+    degrees |= {ae: base.degree(e) + 1 for e, ae in apex.items()}
     base_covers = base.covers()
-    for lo, hi in base_covers:
-        covers.append((rename[lo], rename[hi]))
-    apex = {e: f"a:{e}" for e in base.elements() if e != base_top}
-    for e, ae in apex.items():
-        degrees[ae] = base.degree(e) + 1
-        covers.append((rename[e], ae))
-    for lo, hi in base_covers:
-        if hi != base_top:
-            covers.append((apex[lo], apex[hi]))
-    degrees[TOP] = n + 2
-    covers.append((rename[base_top], TOP))
-    for e in base.elements_of_degree(n):
-        covers.append((apex[e], TOP))
-    return GradedPoset(n + 1, degrees, covers)
+    covers = [(rename[lo], rename[hi]) for lo, hi in base_covers]
+    covers += [(rename[e], ae) for e, ae in apex.items()]
+    covers += [(apex[lo], apex[hi]) for lo, hi in base_covers if hi != base_top]
+    return _close(base.rank + 1, degrees, covers)[0]
 
 
 # -- subposets --------------------------------------------------------------------
@@ -722,10 +695,9 @@ class BarycentricResult:
 
 def barycentric(poset):
     """Barycentric subdivision: the lattice of chains in P minus its ends."""
-    n = poset.rank
     ix = poset.index_data()
     ids, deg = poset.elements(), ix.deg
-    degrees = {TOP: n + 1}
+    degrees = {}
     covers = []
     projection = {BOTTOM: poset.bottom, TOP: poset.top}
     typeset = {BOTTOM: frozenset(), TOP: None}
@@ -737,8 +709,6 @@ def barycentric(poset):
             if ch:
                 projection[s] = ids[ch[-1]]
                 typeset[s] = frozenset(deg[i] for i in ch)
-            if len(ch) == n:
-                covers.append((s, TOP))
             covers += [(name[ch[:k] + ch[k + 1 :]], s) for k in range(len(ch))]
-    bposet = GradedPoset(n, degrees, covers)
+    bposet = _close(poset.rank, degrees, covers)[0]
     return BarycentricResult(bposet, projection, typeset)

@@ -284,6 +284,25 @@ def test_report_bad_corpus(capsys):
         assert "reversed range" in err
 
 
+@pytest.mark.parametrize(
+    "entry, line",
+    [
+        ("chain:" + "x" * 3000,
+         "error: bad corpus entry 'chain:xxxxxxxxxxx...xxxxxxxx': "
+         "invalid literal fo...xxxxxxxxx"),
+        ("pyramid:polygon:" + "9" * 5000,
+         "error: bad corpus entry 'pyramid:polygon:9...99999999': "
+         "Exceeds the limit ...the limit"),
+    ],
+    ids=["3000-letters", "5000-digits"],
+)
+def test_long_corpus_entry_gives_one_short_line(capsys, entry, line):
+    # the entry and int()'s message, which repeats it, are cut by poset.brief
+    code, out, err = run(capsys, "report", "--corpus", entry)
+    assert (code, out, err) == (2, "", line + "\n")
+    assert len(err) < 200
+
+
 def test_max_elements_cap(tmp_path, capsys, monkeypatch):
     path = gen(tmp_path, capsys, "polygon", "30")
     monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", "10")
@@ -380,6 +399,59 @@ def test_oversized_families_exit_before_building(capsys, argv, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "chain", "16", "--barycentric"),
+         "barycentric(chain(16)) has 65537 elements, over the cap 20000 "
+         "(raise CDINDEX_MAX_ELEMENTS to override)"),
+        (("gen", "simplex_fan", "6", "--barycentric"),
+         "barycentric(simplex_fan(6)) has "),
+        (("gen", "simplex_fan", "7", "--barycentric"),
+         "barycentric(simplex_fan(7)) has "),
+        (("report", "--corpus", "barycentric:simplex_fan:9"),
+         "barycentric(simplex_fan(9)) has "),
+        (("gen", "chain", "19000", "--barycentric"),
+         "barycentric(chain(19000)) has "),
+    ],
+    ids=["chain16", "simplex_fan6", "simplex_fan7", "report-simplex_fan9",
+         "chain19000"],
+)
+def test_oversized_subdivisions_exit_before_building(capsys, argv, message):
+    # the base passes both caps, its chains do not: 47,294 elements for
+    # simplex_fan(6), 545,836 for simplex_fan(7), 2^19000 + 1 for chain(19000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+    assert "over the cap 20000 (raise CDINDEX_MAX_ELEMENTS to override)" in err
+
+
+def test_subdivision_size_matches_the_built_subdivision(capsys, monkeypatch, rng):
+    bases = [poset_mod.polygon(5), poset_mod.chain(0), poset_mod.chain(3)]
+    for kind in ("simplex_fan", "cube_fan", "crosspoly_fan"):
+        members = [poset_mod.build_family(kind, n) for n in range(1, 5)]
+        bases += members + [poset_mod.build_pyramid(p) for p in members[:3]]
+    bases += [random_graded_poset(rng) for _ in range(20)]
+    for p in bases:
+        size = len(poset_mod.barycentric(p).bposet)
+        # a walk cut at a lower cap passes it, and counts no more than exist
+        for cap in (size, 0, size // 2, size - 1):
+            monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", str(cap))
+            walked = cli._subdivision_size(p)
+            assert walked == size if cap == size else cap < walked <= size
+    monkeypatch.delenv("CDINDEX_MAX_ELEMENTS")
+    # simplex_fan(5) has 4,684 and stays under the default cap; a cap one
+    # below refuses it
+    code, out, err = run(capsys, "gen", "simplex_fan", "5", "--barycentric")
+    assert (code, err) == (0, "") and len(json.loads(out)["elements"]) == 4684
+    monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", "4683")
+    code, out, err = run(capsys, "gen", "simplex_fan", "5", "--barycentric")
+    assert code == 2 and out == ""
+    assert "barycentric(simplex_fan(5)) has 4684 elements, over the cap 4683" in err
+
+
 def test_gen_writes_past_the_rank_cap_only(capsys, monkeypatch):
     # gen does the work of the element count, not of the rank
     monkeypatch.setenv("CDINDEX_MAX_RANK", "2")
@@ -391,28 +463,31 @@ def test_gen_writes_past_the_rank_cap_only(capsys, monkeypatch):
 
 
 # sha256 prefixes of gen's stdout over the listed parameters, plain and with
-# --pyramid: the JSON a family member serializes to stays byte for byte
+# --pyramid, then with --barycentric and --pyramid --barycentric: the JSON a
+# family member, its pyramid and their subdivisions serialize to stays byte
+# for byte
 GEN_DIGESTS = {
-    "polygon": ((3, 4, 7), "97debd74ece7f6d9"),
-    "simplex_fan": ((1, 2, 4), "57385a8acf52c993"),
-    "cube_fan": ((1, 2, 4), "53bdad5488ee415a"),
-    "crosspoly_fan": ((1, 2, 4), "b3f55240183821fc"),
-    "chain": ((0, 1, 4), "7b380ad1d0aeb435"),
+    "polygon": ((3, 4, 7), "97debd74ece7f6d9", "f88fbefc6bb7e99b"),
+    "simplex_fan": ((1, 2, 4), "57385a8acf52c993", "b9dbeead54a757f9"),
+    "cube_fan": ((1, 2, 4), "53bdad5488ee415a", "057b5441f4b3e337"),
+    "crosspoly_fan": ((1, 2, 4), "b3f55240183821fc", "67a74d8e5d5228f0"),
+    "chain": ((0, 1, 4), "7b380ad1d0aeb435", "9a3e0e633a80392a"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GEN_DIGESTS))
 def test_gen_output_is_pinned(capsys, kind):
-    params, digest = GEN_DIGESTS[kind]
-    h = hashlib.sha256()
-    for n in params:
-        for extra in ([], ["--pyramid"]):
-            if extra and kind == "chain" and n == 0:
-                continue  # a pyramid needs a base of rank >= 1
-            code, out, err = run(capsys, "gen", kind, str(n), *extra)
-            assert (code, err) == (0, "")
-            h.update(out.encode())
-    assert h.hexdigest()[:16] == digest
+    params, *digests = GEN_DIGESTS[kind]
+    for digest, flags in zip(digests, ([], ["--barycentric"])):
+        h = hashlib.sha256()
+        for n in params:
+            for extra in ([], ["--pyramid"]):
+                if extra and kind == "chain" and n == 0:
+                    continue  # a pyramid needs a base of rank >= 1
+                code, out, err = run(capsys, "gen", kind, str(n), *extra, *flags)
+                assert (code, err) == (0, "")
+                h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
 
 
 def test_adjoin_notice_is_one_plain_line(tmp_path, capsys):

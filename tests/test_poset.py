@@ -154,6 +154,18 @@ def test_order_queries():
     assert interval("_bot", "_top") - {"_bot", "_top"} == set(p.proper_elements())
 
 
+def assert_upper_covers_are_two_element_intervals(p):
+    # j covers i iff the closed interval [i, j] has two elements, so the top
+    # has no upper cover; read the other way, the upper covers are the covers
+    ix, ids = p.index_data(), p.elements()
+    for i, e in enumerate(ids):
+        above = pm.mask_indices(ix.up[i])
+        covering = [j for j in above if (ix.up[i] & ix.down[j]).bit_count() == 2]
+        assert p.upper_covers(e) == tuple(ids[j] for j in covering)
+    assert p.upper_covers(p.top) == ()
+    assert sorted((e, u) for e in ids for u in p.upper_covers(e)) == p.covers()
+
+
 def test_index_data_matches_covers(rng):
     posets = [pm.build_pyramid(pm.polygon(4))]
     posets += [random_graded_poset(rng) for _ in range(20)]
@@ -164,26 +176,25 @@ def test_index_data_matches_covers(rng):
         assert ix.deg == tuple(p.degree(e) for e in ids)
         assert ix.index == {e: i for i, e in enumerate(ids)}
         pairs = [(i, j) for j in range(len(ids)) for i in ix.cov_down[j]]
-        up_pairs = [(i, j) for i in range(len(ids)) for j in ix.cov_up[i]]
-        assert sorted(pairs) == sorted(up_pairs)
         assert sorted((ids[i], ids[j]) for i, j in pairs) == p.covers()
-        assert all(list(c) == sorted(c) for c in ix.cov_down + ix.cov_up)
-        # j covers i iff the closed interval [i, j] has two elements
-        for i in range(len(ids)):
-            above = pm.mask_indices(ix.up[i])
-            covering = [j for j in above if (ix.up[i] & ix.down[j]).bit_count() == 2]
-            assert list(ix.cov_up[i]) == covering
+        assert all(list(c) == sorted(c) for c in ix.cov_down)
+        assert_upper_covers_are_two_element_intervals(p)
         for d in range(p.rank + 2):
             layer = [ids[i] for i in pm.mask_indices(ix.layers[d])]
             assert layer == list(p.elements_of_degree(d))
-        # order closure from the covers alone, highest degree first
-        above = {}
-        for e in reversed(ids):
-            above[e] = {e}.union(*(above[u] for u in p.upper_covers(e)))
+        # order closure from the lower covers alone, lowest degree first
+        below = {}
+        for e in ids:
+            below[e] = {e}.union(*(below[c] for c in p.lower_covers(e)))
         for i, x in enumerate(ids):
             for j, y in enumerate(ids):
                 assert bool(ix.down[j] >> i & 1) == bool(ix.up[i] >> j & 1)
-                assert bool(ix.up[i] >> j & 1) == (y in above[x])
+                assert bool(ix.up[i] >> j & 1) == (x in below[y])
+    for family in (simplex_fan, cube_fan, crosspoly_fan):
+        for n in range(1, 5):
+            base = family(n)
+            for p in (base, build_pyramid(base), barycentric(base).bposet):
+                assert_upper_covers_are_two_element_intervals(p)
 
 
 def test_mobius_values():
