@@ -102,17 +102,21 @@ def _subdivision_size(p):
     """Element count of barycentric(p): the chains of p's proper part, the
     empty chain included, and the top.  It stops once past the element cap,
     so a count over the cap may be a lower bound, as is 2^rank + 1 (the
-    subchains of one maximal chain), which spares a long chain its masks."""
+    subchains of one maximal chain), which spares a long chain its masks.
+    The walk reads each down mask as poset.down_masks yields it, so a walk
+    stopped early builds no later mask and leaves index_data()'s unbuilt."""
     cap = _cap("CDINDEX_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
     if (size := 2 ** min(p.rank, 64) + 1) > cap:
         return size
-    ix = p.index_data()
+    cov_down = p.index_data().cov_down
     # chains by their largest element, in index order: the elements below i
     # come first, and the bottom's count and i's own stay 0 while summed
-    ending = [0] * len(ix.deg)
+    ending = [0] * len(cov_down)
     size = 2
-    for i in range(1, len(ix.deg) - 1):
-        ending[i] = 1 + sum(ending[j] for j in poset_mod.mask_indices(ix.down[i]))
+    masks = poset_mod.down_masks(cov_down)
+    next(masks)  # the bottom's
+    for i, down in zip(range(1, len(cov_down) - 1), masks):
+        ending[i] = 1 + sum(ending[j] for j in poset_mod.mask_indices(down))
         size += ending[i]
         if size > cap:
             break

@@ -150,9 +150,9 @@ of each face's link is for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from . import kernel
 from .poset import chain_levels, mask_indices
@@ -299,8 +299,7 @@ def order_complex(poset):
 # -- Gorenstein* certification --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GorensteinCertificate:
+class GorensteinCertificate(NamedTuple):
     """Outcome of the Gorenstein* test.
 
     ``failing_face`` is the first face (in (dimension, vertex-id) order,

@@ -19,9 +19,9 @@ import json
 import reprlib
 import warnings
 from array import array
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 BOTTOM = "_bot"
@@ -47,36 +47,52 @@ class FlatTable(NamedTuple):
     start: array
 
 
-@dataclass(frozen=True)
 class IndexData:
-    """Degrees, order masks, degree layers and their first indices, lower
-    covers and the id map by element index, and the comparability tables
-    built from the masks on first use; see GradedPoset.index_data."""
+    """Degrees, degree layers and their first indices, lower covers and the
+    id map by element index, and the order masks and comparability tables,
+    each built on its first read; see GradedPoset.index_data."""
 
-    deg: tuple
-    down: tuple
-    up: tuple
-    layers: tuple
-    layer_start: tuple
-    cov_down: tuple
-    index: dict
+    def __init__(self, deg, layers, layer_start, cov_down, index):
+        self.deg = deg
+        self.layers = layers
+        self.layer_start = layer_start
+        self.cov_down = cov_down
+        self.index = index
+
+    @cached_property
+    def down(self):
+        return tuple(down_masks(self.cov_down))
+
+    @cached_property
+    def up(self):
+        # indices are sorted by degree, so an up mask pushed down the lower
+        # covers is final when read
+        up = [1 << i for i in range(len(self.deg))]
+        for i in reversed(range(len(up))):
+            m = up[i]
+            for j in self.cov_down[i]:
+                up[j] |= m
+        return tuple(up)
 
     @cached_property
     def below(self):
         flat = array("i")
-        for m in self.down:
+        start = array("i", [0])
+        for m in down_masks(self.cov_down):
             flat.extend(mask_indices(m))
-        start = array("i", accumulate((m.bit_count() for m in self.down), initial=0))
+            start.append(len(flat))
         return FlatTable(flat, start)
 
     @cached_property
     def above(self):
-        # counting-sort transposition of below: walking i upwards appends i to
-        # the list of every j <= i, so each list comes out sorted
+        # counting-sort transposition of below, with the list lengths counted
+        # from it: walking i upwards appends i to the list of every j <= i,
+        # so each list comes out sorted
         flat, start = self.below
-        above_start = array(
-            "i", accumulate((m.bit_count() for m in self.up), initial=0)
-        )
+        sizes = [0] * (len(start) - 1)
+        for j in flat:
+            sizes[j] += 1
+        above_start = array("i", accumulate(sizes, initial=0))
         out = array("i", [0]) * len(flat)
         fill = list(above_start)
         for i in range(len(start) - 1):
@@ -90,15 +106,18 @@ class GradedPoset:
     """Immutable graded poset on string ids.
 
     Comparability is reachability over the cover relation; it is memoized as
-    per-element bitmasks because order queries are hot.  Covers raise degree
-    by one, which already forces acyclicity.
+    per-element bitmasks, built on the first order query, because order
+    queries are hot.  Covers raise degree by one, which already forces
+    acyclicity.
 
     Per element, an instance retains its id, its degree, its entry in the
     id-to-index dict, and the sorted index tuple of its lower covers.  Each
     cover is thus held once and nowhere else: ``covers()`` builds its id
     pairs from the lower covers on each call, and ``upper_covers()`` reads
-    the up masks of ``index_data()``.  That view adds per-element masks and,
-    once read, per-pair tables; its docstring gives their sizes.
+    the up masks of ``index_data()``.  That view adds per-element masks and
+    per-pair tables, each only once read: the cd-index routes build the
+    tables and no mask, certification the masks and no table.  Its
+    docstring gives their sizes.
     """
 
     def __init__(self, rank, degrees, covers):
@@ -214,53 +233,40 @@ class GradedPoset:
 
         Element i is ``elements()[i]``.  Indices follow (degree, id) order, so
         the elements of degree <= d are a prefix of them.  ``deg[i]`` is the
-        degree of element i; bit j of ``down[i]`` is set iff j <= i and bit j
-        of ``up[i]`` iff j >= i; ``layers[d]`` is the mask of the elements of
-        degree d, for d = 0 .. rank + 1.  ``cov_down[i]`` holds the sorted
-        indices that element i covers (those that cover it are the set bits
-        of ``up[i] & layers[deg[i] + 1]``), and ``index`` maps an id to its
-        index.  ``layer_start[d]`` is the first index of degree d (and
-        ``layer_start[rank + 2]`` the element count), so degree d holds
-        indices ``layer_start[d] .. layer_start[d + 1] - 1``.  Computed once,
-        then shared.  Per element the view adds two masks, ``down[i]`` of
-        i + 1 bits and ``up[i]`` of n bits; ``deg``, the cover tuples and
-        ``index`` are the poset's own, not copies.
+        degree of element i; ``layers[d]`` is the mask of the elements of
+        degree d, for d = 0 .. rank + 1, and ``layer_start[d]`` its first
+        index (``layer_start[rank + 2]`` is the element count), so degree d
+        holds indices ``layer_start[d] .. layer_start[d + 1] - 1``.
+        ``cov_down[i]`` holds the sorted indices that element i covers, and
+        ``index`` maps an id to its index.  Computed once, then shared; the
+        degrees, cover tuples and id map are the poset's own, not copies.
 
-        The comparability tables ``below`` and ``above`` are built on first
-        read, once per poset, so that callers which never read them never pay
-        for them.  They are FlatTable pairs ``(flat, start)``: the sorted
-        indices j <= i (the set bits of ``down[i]``) are
-        ``below.flat[below.start[i]:below.start[i + 1]]``, and those of
-        ``up[i]`` likewise in ``above``.  Each flat table is one
-        ``array("i")``, 4 bytes per comparable pair (i itself included), plus
-        n + 1 offsets, so the two cost 8 bytes per comparable pair once read.
-        ``below`` decodes the masks once; ``above`` is its transpose, by a
-        counting sort into a preallocated array.  Since indices follow
-        degree, the elements of one degree window of a list are one slice,
-        found by ``bisect_left`` with the list's bounds as lo and hi.
+        Everything else is built on its first read, once per poset, so that
+        a caller pays only for what it reads.  The order masks: bit j of
+        ``down[i]`` is set iff j <= i (i + 1 bits, pulled up the lower covers
+        by ``down_masks``) and bit j of ``up[i]`` iff j >= i (n bits, pushed
+        down them); the elements covering i are the set bits of
+        ``up[i] & layers[deg[i] + 1]``.  Certification, the Eulerian test and
+        the order queries read the masks.  The comparability tables
+        ``below`` and ``above``, which the three cd-index routes read, are
+        FlatTable pairs ``(flat, start)``: the sorted indices j <= i are
+        ``below.flat[below.start[i]:below.start[i + 1]]``, and those j >= i
+        likewise in ``above``.  Each flat table is one ``array("i")``, 4
+        bytes per comparable pair (i itself included), plus n + 1 offsets.
+        ``below`` decodes the down masks as ``down_masks`` yields them,
+        without keeping them, and ``above`` is its transpose, by a counting
+        sort into a preallocated array, so building the tables builds no
+        mask of the view.  Since indices follow degree, the elements of one
+        degree window of a list are one slice, found by ``bisect_left`` with
+        the list's bounds as lo and hi.
         """
         if self._index_data is None:
-            n = len(self._ids)
-            # indices are sorted by degree, so down masks pulled up the lower
-            # covers and up masks pushed down them are final when read
-            down = [0] * n
-            for i in range(n):
-                m = 1 << i
-                for j in self._cov_down[i]:
-                    m |= down[j]
-                down[i] = m
-            up = [1 << i for i in range(n)]
-            for i in reversed(range(n)):
-                m = up[i]
-                for j in self._cov_down[i]:
-                    up[j] |= m
-            layers = [0] * (max(self._deg, default=0) + 1)
-            for i, d in enumerate(self._deg):
-                layers[d] |= 1 << i
-            layer_start = accumulate((m.bit_count() for m in layers), initial=0)
+            deg = self._deg
+            layer_start = tuple(bisect_left(deg, d) for d in range(self.rank + 3))
+            # indices are sorted by degree, so each layer is one run of bits
+            layers = tuple((1 << b) - (1 << a) for a, b in pairwise(layer_start))
             self._index_data = IndexData(
-                self._deg, tuple(down), tuple(up), tuple(layers),
-                tuple(layer_start), self._cov_down, self._index,
+                deg, layers, layer_start, self._cov_down, self._index
             )
         return self._index_data
 
@@ -292,6 +298,21 @@ class GradedPoset:
 
     def dumps(self):
         return json.dumps(self.to_json(), indent=None, separators=(",", ":"))
+
+
+def down_masks(cov_down):
+    """Each element's down mask, in index order: bit j of the i-th is set iff
+    j <= i.  ``cov_down`` is an index_data() view's lower covers; indices
+    are sorted by degree, so the masks of i's lower covers, pulled up into
+    i's, are final when read.  A caller that stops early builds no later
+    mask."""
+    down = []
+    for i, low in enumerate(cov_down):
+        m = 1 << i
+        for j in low:
+            m |= down[j]
+        down.append(m)
+        yield m
 
 
 def mask_indices(mask):
@@ -549,8 +570,7 @@ def build_pyramid(base):
 # -- subposets --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElementSubposet:
+class ElementSubposet(NamedTuple):
     """An induced subposet of a parent, re-closed into a graded poset.
 
     ``members`` are the retained parent ids; ``poset`` is the induced graded
@@ -678,8 +698,7 @@ def is_eulerian(poset):
 # -- barycentric subdivision -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarycentricResult:
+class BarycentricResult(NamedTuple):
     """Chain poset B(P) of a graded poset P.
 
     Elements of degree k are the k-element chains in the proper part of P,

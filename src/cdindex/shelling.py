@@ -12,7 +12,7 @@ submanifold Pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cdpoly import CdPolynomial
 from .flags import cd_index_flag
@@ -73,8 +73,7 @@ def _quasi_convex_boundary(poset):
     return None
 
 
-@dataclass(frozen=True)
-class QuasiConvexIndex:
+class QuasiConvexIndex(NamedTuple):
     """cd-data of a quasi-convex poset: full-degree interior plus the
     boundary's cd-index (degree n-1); their sum is the poset's Poincare
     data and interior + boundary*c is the semisuspension's cd-index."""

@@ -1,8 +1,12 @@
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +445,11 @@ def test_subdivision_size_matches_the_built_subdivision(capsys, monkeypatch, rng
             monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", str(cap))
             walked = cli._subdivision_size(p)
             assert walked == size if cap == size else cap < walked <= size
+    # a walk stopped early builds no mask of the base's index data
+    monkeypatch.setenv("CDINDEX_MAX_ELEMENTS", "10")
+    p = poset_mod.polygon(50)
+    assert cli._subdivision_size(p) == 11
+    assert vars(p.index_data()).keys().isdisjoint({"down", "up"})
     monkeypatch.delenv("CDINDEX_MAX_ELEMENTS")
     # simplex_fan(5) has 4,684 and stays under the default cap; a cap one
     # below refuses it
@@ -450,6 +459,17 @@ def test_subdivision_size_matches_the_built_subdivision(capsys, monkeypatch, rng
     code, out, err = run(capsys, "gen", "simplex_fan", "5", "--barycentric")
     assert code == 2 and out == ""
     assert "barycentric(simplex_fan(5)) has 4684 elements, over the cap 4683" in err
+
+
+def test_a_process_imports_no_dataclasses():
+    # dataclasses imports inspect, about 1 MB of every process's memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, cdindex.cli; print({'dataclasses', 'inspect'} & {*sys.modules})"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "set()\n"
 
 
 def test_gen_writes_past_the_rank_cap_only(capsys, monkeypatch):

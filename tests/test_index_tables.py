@@ -1,14 +1,14 @@
 """The comparability tables of IndexData (below, above) and its layer starts
 against the bitmasks they are decoded from, the tables' laziness, and the three
 cd-index routes that read them against the independent oracles of their test
-files."""
+files.  Each of the masks and tables is built only by its own readers."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdindex import poset as pm
-from cdindex.cdpoly import CdPolynomial, enumerate_cd_words
+from cdindex.cdpoly import CdPolynomial, NotACdPolynomial, enumerate_cd_words
 from cdindex.flags import cd_index_flag, flag_f
 from cdindex.homology import is_gorenstein_star
 from cdindex.operators import cd_index_operator
@@ -92,6 +92,27 @@ def test_tables_are_built_only_when_read():
     assert _built(ix) == {"below"}
     cd_index_operator(p)
     assert _built(ix) == {"below", "above"}
+
+
+MASKS, TABLES = {"down", "up"}, {"below", "above"}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(POSETS)
+def test_masks_and_tables_are_built_only_by_their_readers(p):
+    # fresh copies, so no earlier read has built anything
+    q = pm.loads(p.dumps())
+    assert vars(q.index_data()).keys().isdisjoint(MASKS | TABLES)
+    for route in (cd_index_flag, cd_index_stanley, cd_index_operator):
+        try:
+            route(q)
+        except (NonIntegralResult, NotACdPolynomial):
+            pass
+    assert vars(q.index_data()).keys().isdisjoint(MASKS)
+    q = pm.loads(p.dumps())
+    pm.is_eulerian(q)
+    is_gorenstein_star(q)
+    assert vars(q.index_data()).keys().isdisjoint(TABLES)
 
 
 def test_tables_are_decoded_once(monkeypatch):
