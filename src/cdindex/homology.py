@@ -25,6 +25,31 @@ once.  So the intervals with deg y - deg x = 2 need no further work, and
 every element two degrees above another lies on exactly two 2-chains
 between them.
 
+Boolean ends.  A Boolean interval, one isomorphic to the lattice of the
+subsets of a k-set, is a sphere over every field: its proper part is the
+boundary of a (k-1)-simplex.  Every interval inside a Boolean one is
+Boolean.  So once the thin check has passed, _boolean_ends finds the mask L
+of the elements y with [bottom, y] Boolean and the mask U of the x with
+[x, top] Boolean, and the walk visits no base in U and no y in L.
+Intervals of length 1 and 2 are Boolean by thinness.  For
+k = deg y - deg x >= 3, [x, y] is Boolean when it has k atoms and k
+coatoms, each coatom c has [x, c] Boolean, and the coatoms miss pairwise
+different atoms, each exactly one.  Proof: with A(z) the set of atoms of
+[x, y] below z, the A(c) are then all k of the (k-1)-subsets of the atoms.
+Take z and z' with the same atom set S, below coatoms c != c'.  Let w be
+the element of the Boolean [x, c] with A(w) = A(c) & A(c').  [w, y] has
+length two, so by thinness it holds one coatom besides c; that coatom
+misses one atom outside A(w), not the one c misses, so it is c'.  Then z
+and z' both lie in the Boolean [x, w] (S is inside A(w)), where S names one
+element, and z = z'.  So A is injective, it is onto the subsets (each
+proper one lies in some A(c)), and A(z) inside A(z') puts z below z' (in a
+Boolean [x, c] that holds z').  So A is an order isomorphism onto the
+subsets.  L fills a layer at a time upwards from the bottom, and U by the
+same walk in the dual poset, a layer at a time down from the top.  A
+skipped interval is a sphere over every field, so every argument below
+that needs the proper subintervals of a visited interval to be spheres
+holds as it did when every pair was visited.
+
 Cellular complexes.  For a base x, the elements z of [x, y) are the cells
 of a chain complex: z has dimension deg z - deg x - 1 and x is the
 (-1)-cell.  Over GF(2) the boundary of z is the sum of its lower covers in
@@ -70,6 +95,7 @@ any field its proper subintervals are homology spheres over.  Intervals
 with d < 1 need no check past the thin one, so the loop over the y above a
 base x never reaches them: indices follow degree order, and the y with
 d >= 1 are the bits of up[x] from the first index of degree deg x + 3 on.
+Nor does it reach a y in L, or start from a base in U (Boolean ends).
 With r_k the rank of the boundary from dimension k to k-1, the reduced
 Betti number b_k is |C_k| - r_k - r_(k+1), and r_0 = 1.  Two checks
 decide an interval:
@@ -151,7 +177,7 @@ of each face's link is for it.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 from typing import NamedTuple
 
 from . import kernel
@@ -360,23 +386,26 @@ def _intervals_are_spheres(poset, signing):
     dimension deg y - deg x - 2; False at the first interval that is not
     (see the module docstring).  ``signing()`` returns the poset's cover
     signing, from _sign_covers; it is called only at the first interval
-    that GF(2) ranks leave open."""
+    that GF(2) ranks leave open.  Intervals inside a Boolean [bottom, y] or
+    [x, top], from _boolean_ends, are spheres and are not visited."""
     ix = poset.index_data()
     if not _is_thin(ix):
         return False
     down, up, deg, layers = ix.down, ix.up, ix.deg, ix.layers
-    cov_down, start, last = ix.cov_down, ix.layer_start, poset.rank + 2
+    cov_down, start = ix.cov_down, ix.layer_start
+    lower, upper = _boolean_ends(ix)
     # Only the y with d = deg y - deg x - 2 >= 1 need work (S^-1 and, by the
-    # thin check, S^0 hold already).  Indices follow degree order, so these y
-    # are the bits of up[x] from layer_start[deg x + 3] on, the first index
-    # of degree deg x + 3; past the top degree, layer_start[rank + 2] is the
-    # element count, which leaves none.
+    # thin check, S^0 hold already), and only outside the Boolean ends: a
+    # base in U and a y in L bound Boolean intervals.  U holds the three
+    # highest layers, so every base outside it has a layer three degrees up.
+    # Indices follow degree order, so the y are the bits of up[x] & ~L from
+    # layer_start[deg x + 3] on, the first index of degree deg x + 3.
     # reversed index order visits bases in decreasing degree, and
     # mask_indices yields the elements above one increasingly
-    for x in reversed(range(len(deg))):
+    for x in reversed([*mask_indices(upper ^ ((1 << len(deg)) - 1))]):
         upx, base = up[x], deg[x]
-        s = start[min(base + 3, last)]
-        for y in mask_indices(upx >> s << s):
+        s = start[base + 3]
+        for y in mask_indices((upx & ~lower) >> s << s):
             if not _acyclic_below_top(
                 upx & down[y], base, deg[y] - base - 2, layers, down, cov_down,
                 signing,
@@ -402,6 +431,47 @@ def _is_thin(ix):
         if once != twice:
             return False
     return True
+
+
+def _boolean_ends(ix):
+    """The masks (L, U) of the elements y with [bottom, y] Boolean and of the
+    elements x with [x, top] Boolean, for a poset that passed _is_thin.
+
+    Lengths 1 and 2 are Boolean by thinness, so L starts as the three lowest
+    layers.  For k = deg y >= 3, [bottom, y] is Boolean when it has k atoms
+    and k coatoms, each coatom c is in L, and the coatoms miss pairwise
+    different atoms (see the module docstring).  L grows a layer at a time
+    upwards, reading the covers and atoms below y from down[y], and stops
+    after a layer that gains no element: no element above it can have all
+    its lower covers in L.  U is L of the dual poset: the same walk, down
+    the layers from the top, on the up masks."""
+    # the index range of each layer, which the dual walk reads reversed
+    spans = [range(a, b) for a, b in pairwise(ix.layer_start)]
+    ends = []
+    for masks, layers, runs in (
+        (ix.down, ix.layers, spans),
+        (ix.up, ix.layers[::-1], spans[::-1]),
+    ):
+        found = sum(layers[:3])  # the layers are disjoint
+        for k in range(3, len(layers)):
+            if not found & layers[k - 1]:
+                break
+            for y in runs[k]:
+                covers = masks[y] & layers[k - 1]
+                if covers & ~found or covers.bit_count() != k:
+                    continue
+                atoms = masks[y] & layers[1]
+                if atoms.bit_count() != k:
+                    continue
+                # each coatom c, in L, misses one atom of [bottom, y], since
+                # [bottom, c] has k - 1 of them
+                missed = 0
+                for c in mask_indices(covers):
+                    missed |= atoms & ~masks[c]
+                if missed == atoms:
+                    found |= 1 << y
+        ends.append(found)
+    return tuple(ends)
 
 
 def _sign_covers(ix):

@@ -253,6 +253,25 @@ def product_face_poset(*posets):
     return GradedPoset(rank, degrees, covers)
 
 
+def star_product(p, q):
+    """Stanley's star product P * Q: ``p`` without its top below ``q``
+    without its bottom, every coatom of p covered by every atom of q, and
+    q's degrees raised by p.rank.  The order complex of its proper part is
+    the join of the factors', so a product of Gorenstein* posets is
+    Gorenstein*, and its cd-index is Psi(P)*Psi(Q) (Stanley, "Flag
+    f-vectors and the cd-index", Math. Z. 1994)."""
+    low = {f"p:{e}": p.degree(e) for e in p.elements() if e != p.top}
+    high = {f"q:{e}": q.degree(e) + p.rank for e in q.elements() if e != q.bottom}
+    covers = [(f"p:{lo}", f"p:{hi}") for lo, hi in p.covers() if hi != p.top]
+    covers += [(f"q:{lo}", f"q:{hi}") for lo, hi in q.covers() if lo != q.bottom]
+    covers += [
+        (f"p:{c}", f"q:{a}")
+        for c in p.elements_of_degree(p.rank)
+        for a in q.elements_of_degree(1)
+    ]
+    return GradedPoset(p.rank + q.rank, low | high, covers)
+
+
 def pinched_icosahedron():
     """The icosahedron's boundary with one antipodal pair of vertices
     identified: a pinched sphere, whose pinch vertex has two pentagons as

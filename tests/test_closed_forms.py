@@ -4,7 +4,8 @@ The dual poset has the reversed index (Stanley, "Flag f-vectors and the
 cd-index", Math. Z. 1994), the pyramid over P has the index
 Psi(P)*c + G(Psi(P)) for the derivation G(c) = d, G(d) = cd, and the prism
 over P has Psi(P)*c + D(Psi(P)) for D(c) = 2d, D(d) = cd + dc (Ehrenborg and
-Readdy, "Coproducts and the cd-index", J. Algebraic Combin. 1998).  No
+Readdy, "Coproducts and the cd-index", J. Algebraic Combin. 1998).  The star
+product P * Q has the product Psi(P)*Psi(Q) (Stanley, 1994).  No
 identity shares any code with the routes, so they reach ranks that no
 enumeration does.
 
@@ -34,6 +35,7 @@ from conftest import (
     pyramid_derivation,
     reverse_cd,
     simplicial_flag_f,
+    star_product,
 )
 
 ROUTES = (cd_index_flag, cd_index_stanley, cd_index_operator)
@@ -46,6 +48,15 @@ def test_dual_has_the_reversed_index(p):
     q = dual(p)
     for route in ROUTES:
         assert route(q) == expected
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(gorenstein_posets(), gorenstein_posets())
+def test_star_product_has_the_product_index(p, q):
+    expected = cd_index_flag(p) * cd_index_flag(q)
+    s = star_product(p, q)
+    for route in ROUTES:
+        assert route(s) == expected
 
 
 def test_dual_of_a_non_sphere():

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from cdindex.homology import (
     HomologyProfile,
     SimplicialComplex,
     _acyclic_below_top,
+    _boolean_ends,
     _connected,
     _intervals_are_spheres,
     _is_thin,
@@ -22,6 +24,7 @@ from cdindex.homology import (
     reduced_homology,
 )
 from cdindex.poset import (
+    GradedPoset,
     barycentric,
     build_pyramid,
     chain,
@@ -44,9 +47,12 @@ from conftest import (
     _certify_by_faces,
     antipodal_quotient,
     digon,
+    dual,
     face_poset,
     glued_spheres,
+    gorenstein_posets,
     has_face,
+    is_lattice,
     link,
     manifold_controls,
     minus_facet,
@@ -55,6 +61,7 @@ from conftest import (
     random_graded_poset,
     reduced_euler,
     relabeled,
+    star_product,
 )
 
 
@@ -667,7 +674,8 @@ def test_passing_spheres_need_no_exact_rank(monkeypatch):
 
 def test_no_rank_below_dimension_three(monkeypatch):
     # the flood decides b_0, so an interval with d <= 2 takes no GF(2) rank;
-    # with r_1 as a rank the three members took 479, 270 and 270 of them
+    # with r_1 as a rank the last two members took 270 of them each, and
+    # before the Boolean ends were skipped all three took 410, 27 and 27
     import cdindex.homology as homology
 
     rank, check = kernel.rank_mod2, homology._acyclic_below_top
@@ -686,22 +694,24 @@ def test_no_rank_below_dimension_three(monkeypatch):
 
     monkeypatch.setattr(kernel, "rank_mod2", counting)
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
-    for p, most in [(build_pyramid(simplex_fan(5)), 100),
-                    (build_pyramid(cube_fan(4)), 27),
-                    (build_pyramid(crosspoly_fan(4)), 27)]:
+    for p, most in [(build_pyramid(cube_fan(5)), 74),
+                    (build_pyramid(cube_fan(4)), 11),
+                    (build_pyramid(crosspoly_fan(4)), 11)]:
         calls.clear()
         assert is_gorenstein_star(p)
         assert 0 < len(calls) <= most
     assert min(ranked) == 3
 
 
-def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
-    # the loop cuts each base's elements above it to those of degree at least
-    # deg x + 3 before decoding; every interval of these spheres passes, so
-    # each such pair x < y is checked exactly once, and no other pair is
+def test_interval_check_visits_each_pair_outside_the_boolean_ends(monkeypatch):
+    # the loop skips the bases x with [x, top] Boolean and masks out the y
+    # with [bottom, y] Boolean, then cuts each base's elements above it to
+    # those of degree at least deg x + 3 before decoding; every interval of
+    # these spheres passes, so each other such pair x < y is checked exactly
+    # once, and no other pair is.  The ends come from the brute-force test.
     import cdindex.homology as homology
 
-    check, seen = homology._acyclic_below_top, []
+    check, seen, dims = homology._acyclic_below_top, [], []
 
     def spy(cells, base_deg, d, layers, down, cov_down, signing):
         # cells is the mask of [x, y]: x is its lowest bit and y its highest
@@ -709,20 +719,234 @@ def test_interval_check_visits_each_pair_of_dimension_one_or_more(monkeypatch):
         return check(cells, base_deg, d, layers, down, cov_down, signing)
 
     monkeypatch.setattr(homology, "_acyclic_below_top", spy)
-    for p in [build_pyramid(simplex_fan(5)), simplex_fan(6), cube_fan(5),
-              crosspoly_fan(5)]:
+    # (poset, pairs visited, pairs with deg y - deg x >= 3): a simplex fan
+    # and its pyramid are Boolean as a whole, so no pair is left;
+    # cube_fan(5) keeps the lower intervals [bottom, y] that are not
+    # Boolean, crosspoly_fan(5) the upper ones, and the pyramid over
+    # cube_fan(5) both
+    for p, visited, pairs in [
+        (simplex_fan(6), 0, 939),
+        (build_pyramid(simplex_fan(5)), 0, 939),
+        (cube_fan(5), 131, 1123),
+        (crosspoly_fan(5), 131, 1123),
+        (build_pyramid(cube_fan(5)), 393, 4529),
+    ]:
         ix = p.index_data()
         up, deg, n = ix.up, ix.deg, len(p)
-        expected = sorted(
+        lower, upper = brute_boolean_ends(ix)
+        comparable = [
             (x, y, deg[y] - deg[x] - 2)
             for x in range(n)
             for y in range(n)
             if up[x] >> y & 1 and deg[y] - deg[x] >= 3
+        ]
+        expected = sorted(
+            (x, y, d) for x, y, d in comparable
+            if not (upper >> x & 1 or lower >> y & 1)
         )
         seen.clear()
         assert _spheres(p)
         assert sorted(seen) == expected
-        assert min(d for _, _, d in seen) == 1
+        assert (len(seen), len(comparable)) == (visited, pairs)
+        dims += [d for _, _, d in seen]
+    assert min(dims) == 1
+
+
+# -- the Boolean ends, kept against a brute-force Boolean test ----------------
+
+
+def is_boolean(ix, x, y):
+    """Whether [x, y] is a Boolean lattice, by brute force: for
+    k = deg y - deg x it has 2^k elements and k atoms, and the map from each
+    element to the atoms below it is injective and order-reflecting, so an
+    order isomorphism onto the subsets of the atoms."""
+    down, deg = ix.down, ix.deg
+    cells = ix.up[x] & down[y]
+    k = deg[y] - deg[x]
+    atoms = cells & ix.layers[deg[x] + 1] if k else 0
+    if cells.bit_count() != 1 << k or atoms.bit_count() != k:
+        return False
+    below = {z: down[z] & atoms for z in mask_indices(cells)}
+    if len(set(below.values())) != len(below):
+        return False
+    return all(
+        down[w] >> z & 1
+        for z, a in below.items()
+        for w, b in below.items()
+        if a & ~b == 0
+    )
+
+
+def brute_boolean_ends(ix):
+    """The masks of the y with [bottom, y] Boolean and of the x with
+    [x, top] Boolean, element by element."""
+    top = len(ix.deg) - 1
+    lower = sum(1 << y for y in range(top + 1) if is_boolean(ix, 0, y))
+    upper = sum(1 << x for x in range(top + 1) if is_boolean(ix, x, top))
+    return lower, upper
+
+
+def check_boolean_ends(p):
+    """_boolean_ends on the thin poset ``p`` against the brute-force test,
+    and every pair x < y with deg y - deg x >= 3 that the walk skips, a base
+    x in U or a y in L, Boolean.  Returns the number of pairs skipped."""
+    ix = p.index_data()
+    lower, upper = _boolean_ends(ix)
+    assert (lower, upper) == brute_boolean_ends(ix)
+    skipped = [
+        (x, y)
+        for x in range(len(ix.deg))
+        for y in mask_indices(ix.up[x])
+        if ix.deg[y] - ix.deg[x] >= 3 and (upper >> x & 1 or lower >> y & 1)
+    ]
+    assert all(is_boolean(ix, x, y) for x, y in skipped)
+    return len(skipped)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.one_of(ORACLE_INPUTS, antipodal_posets()))
+def test_boolean_ends_match_brute_force(p):
+    if _is_thin(p.index_data()):
+        check_boolean_ends(p)
+
+
+def test_boolean_ends_match_brute_force_on_the_controls():
+    # every proper interval of these is a sphere, Boolean or not, and only
+    # the whole fails; the cubical 3-torus has no Boolean interval of
+    # length 3 or more at either end, so the walk skips no pair of it
+    skipped = {
+        name: check_boolean_ends(p) for name, (p, _) in manifold_controls().items()
+    }
+    assert skipped == {
+        "cubical 3-torus": 0,
+        "S2 x S2": 64,
+        "S1 x S3": 210,
+        "pinched icosahedron": 20,
+        "two 3-spheres": 100,
+    }
+
+
+def cell_poset(cells):
+    """The poset of ``cells``, which maps each cell's name to the names of
+    the cells it covers, each listed after those (a vertex covers none),
+    closed by a bottom and by a top over the cells of the highest degree."""
+    degrees = {"_bot": 0}
+    for c, low in cells.items():
+        degrees[c] = 1 + max((degrees[b] for b in low), default=0)
+    rank = max(degrees.values())
+    covers = [(b, c) for c, low in cells.items() for b in low or ["_bot"]]
+    covers += [(c, "_top") for c in cells if degrees[c] == rank]
+    return GradedPoset(rank, degrees | {"_top": rank + 1}, covers)
+
+
+def vertices(*ids):
+    return {f"v{v}": () for v in ids}
+
+
+def two_face_sphere(tag, ids):
+    """Two faces glued along their boundary, a 2-sphere: triangles on three
+    vertex ids, digons on two.  The faces are named tag + "f0" and "f1"."""
+    if len(ids) == 3:
+        edges = {f"{tag}{u}{v}": (f"v{u}", f"v{v}") for u, v in combinations(ids, 2)}
+    else:
+        edges = {f"{tag}{i}": tuple(f"v{v}" for v in ids) for i in range(2)}
+    return edges | {f"{tag}f{i}": tuple(edges) for i in range(2)}
+
+
+def tetrahedron(tag, ids):
+    """The boundary of a tetrahedron on four vertex ids; its faces' names
+    start with tag + "f"."""
+    edges = {f"{tag}{u}{v}": (f"v{u}", f"v{v}") for u, v in combinations(ids, 2)}
+    return edges | {
+        f"{tag}f{u}{v}{w}": (f"{tag}{u}{v}", f"{tag}{u}{w}", f"{tag}{v}{w}")
+        for u, v, w in combinations(ids, 3)
+    }
+
+
+def digon_solids():
+    """Rank 4: two 3-cells over the digon spheres on {1, 2} and {3, 4}, and
+    two over a tetrahedron on {5, .., 8}, so that some faces are Boolean."""
+    cells = vertices(*range(1, 9)) | two_face_sphere("a", (1, 2))
+    cells |= two_face_sphere("b", (3, 4)) | tetrahedron("t", (5, 6, 7, 8))
+    digons = ("af0", "af1", "bf0", "bf1")
+    triangles = tuple(c for c in cells if c.startswith("tf"))
+    return cell_poset(cells | {"y0": digons, "y1": digons, "z0": triangles, "z1": triangles})
+
+
+# thin posets with an interval [bottom, y] that passes every condition of
+# the Boolean test but one: y0 of digon_solids, over two digon spheres on
+# {1, 2} and {3, 4} (coatoms not Boolean), and the tops of a tetrahedron
+# with a triangle sphere on three of its vertices (six coatoms), of triangle
+# spheres on {1, 2, 3} and {4, 5, 6} (six atoms), and of triangle spheres on
+# {1, 2, 3} and {1, 2, 4} (two coatoms miss each of 3 and 4).  None of those
+# intervals is Boolean, and none of the posets is Gorenstein*.
+ONE_CONDITION_MISSED = {
+    "coatoms Boolean": digon_solids,
+    "k coatoms": lambda: cell_poset(
+        vertices(1, 2, 3, 4) | tetrahedron("t", (1, 2, 3, 4))
+        | two_face_sphere("a", (1, 2, 3))
+    ),
+    "k atoms": lambda: cell_poset(
+        vertices(*range(1, 7)) | two_face_sphere("a", (1, 2, 3))
+        | two_face_sphere("b", (4, 5, 6))
+    ),
+    "distinct misses": lambda: cell_poset(
+        vertices(1, 2, 3, 4) | two_face_sphere("a", (1, 2, 3))
+        | two_face_sphere("b", (1, 2, 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CONDITION_MISSED))
+def test_each_condition_of_the_boolean_test_is_needed(name):
+    # on the poset and on its dual, so on both ends
+    p = ONE_CONDITION_MISSED[name]()
+    for q in (p, dual(p)):
+        assert _is_thin(q.index_data())
+        check_boolean_ends(q)
+        cert = is_gorenstein_star(q).to_json()
+        assert not cert["gorenstein_star"]
+        assert cert == _certify_by_faces(q).to_json()
+
+
+def seam_visits(p):
+    """The certificate of ``p`` and the pairs (x, y) whose intervals the
+    walk visits."""
+    check, seen = _acyclic_below_top, []
+
+    def spy(cells, *rest):
+        seen.append(((cells & -cells).bit_length() - 1, cells.bit_length() - 1))
+        return check(cells, *rest)
+
+    with mock.patch("cdindex.homology._acyclic_below_top", spy):
+        cert = is_gorenstein_star(p)
+    return cert, seen
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(gorenstein_posets(), gorenstein_posets())
+def test_star_products_certify_across_the_seam(p, q):
+    # every element of p's proper part lies below every element of q's, so
+    # the whole [bottom, top] is not Boolean, nor inside a Boolean end, and
+    # the walk must visit it
+    s = star_product(p, q)
+    cert, seen = seam_visits(s)
+    assert cert.to_json() == {
+        "gorenstein_star": True,
+        "failing_face": None,
+        "betti": [0] * s.rank + [1],
+    }
+    assert (0, len(s) - 1) in seen
+
+
+def test_star_product_of_a_cube_and_a_cross_polytope():
+    # 108 elements; a Gorenstein* poset that is not a lattice, on which the
+    # walk still visits intervals across the seam
+    s = star_product(cube_fan(4), crosspoly_fan(3))
+    assert len(s) == 108 and not is_lattice(s)
+    cert, seen = seam_visits(s)
+    assert cert
+    assert seen
 
 
 def test_rp3_certifies_through_the_exact_fallback(monkeypatch):
